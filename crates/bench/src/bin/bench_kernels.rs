@@ -1,6 +1,6 @@
 //! Kernel throughput: packed pooled kernels vs the pre-PR serial reference.
 //!
-//! Times GEMM, SYRK (`XᵀX` vs the old `transpose().matmul`) and the blocked
+//! Times GEMM, SYRK (`XᵀX` vs the old `transpose().matmul`) and the tiled
 //! Cholesky SPD inverse at K-FAC-relevant dimensions, plus one full real
 //! 4-rank SPD-KFAC trainer iteration, in both kernel modes
 //! (`set_reference_kernels` switches the whole hot path back to the seed
@@ -151,6 +151,29 @@ fn json_f64(v: f64) -> String {
     }
 }
 
+/// The host the numbers were measured on: CPU model, core count and
+/// whether the kernels' AVX2+FMA paths are live.
+fn machine_json() -> String {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    #[cfg(target_arch = "x86_64")]
+    let avx2_fma = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
+    #[cfg(not(target_arch = "x86_64"))]
+    let avx2_fma = false;
+    format!(
+        "{{\"cpu\": \"{}\", \"nproc\": {nproc}, \"avx2_fma\": {avx2_fma}}}",
+        spdkfac_obs::escape_json(&cpu)
+    )
+}
+
 fn render_json(
     smoke: bool,
     rows: &[KernelRow],
@@ -163,6 +186,7 @@ fn render_json(
     out.push_str("  \"schema\": \"spdkfac-bench-kernels-v1\",\n");
     out.push_str(&format!("  \"smoke\": {smoke},\n"));
     out.push_str(&format!("  \"threads\": {},\n", pool::threads()));
+    out.push_str(&format!("  \"machine\": {},\n", machine_json()));
     out.push_str("  \"kernels\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let refs = r.reference_s.map_or("null".to_string(), json_f64);
@@ -204,7 +228,8 @@ fn main() {
     let dims: &[usize] = if smoke {
         &[8, 32]
     } else {
-        &[64, 128, 256, 512, 1024, 2048, 4096]
+        // 48 and 72 are K-FAC factor dims of the repo benchmark's models.
+        &[48, 64, 72, 128, 256, 512, 1024, 2048, 4096]
     };
     header(&format!(
         "Kernel throughput (pool threads = {}, {} mode)",

@@ -198,14 +198,26 @@ fn write_frame(w: &mut impl Write, msg: &RingMsg) -> std::io::Result<()> {
     w.flush()
 }
 
+/// Frame-body bytes reserved before any arrive. The length header is
+/// untrusted, so a larger body grows as its bytes are actually read; ring
+/// chunks stay below this, so they still take one allocation.
+const FRAME_PREALLOC: usize = 1 << 20;
+
 fn read_frame(r: &mut impl Read) -> std::io::Result<RingMsg> {
     let mut hdr = [0u8; 17];
     r.read_exact(&mut hdr)?;
     let origin = u64::from_le_bytes(hdr[..8].try_into().expect("8 bytes")) as usize;
     let tag = hdr[8];
-    let nbytes = u64::from_le_bytes(hdr[9..].try_into().expect("8 bytes")) as usize;
-    let mut bytes = vec![0u8; nbytes];
-    r.read_exact(&mut bytes)?;
+    let claimed = u64::from_le_bytes(hdr[9..].try_into().expect("8 bytes"));
+    let mut bytes = Vec::with_capacity(claimed.min(FRAME_PREALLOC as u64) as usize);
+    r.by_ref().take(claimed).read_to_end(&mut bytes)?;
+    if bytes.len() as u64 != claimed {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("frame body ended after {} of {claimed} bytes", bytes.len()),
+        ));
+    }
+    let nbytes = bytes.len();
     let bad = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
     let payload = match tag {
         0 => {
@@ -1175,6 +1187,18 @@ mod tests {
         let got = read_frame(&mut &buf[..]).unwrap();
         assert_eq!(got.origin, 3);
         assert_eq!(got.payload, msg.payload);
+    }
+
+    #[test]
+    fn oversized_length_header_is_an_error_not_an_allocation() {
+        // A corrupt header claiming 2^62 body bytes, then EOF.
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&0u64.to_le_bytes());
+        buf.push(0);
+        buf.extend_from_slice(&(1u64 << 62).to_le_bytes());
+        buf.extend_from_slice(&[0u8; 16]);
+        let err = read_frame(&mut &buf[..]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

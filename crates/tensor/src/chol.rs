@@ -6,26 +6,49 @@
 //! inverse ([`spd_inverse`]) via inversion of the triangular factor
 //! (the POTRF + POTRI sequence).
 //!
-//! Matrices larger than one block use a blocked right-looking factorization:
-//! the diagonal block is factored unblocked, then the panel solve and the
-//! trailing-matrix rank-`nb` update are distributed row-wise over the
-//! persistent pool ([`crate::pool`]). Each row of the output is produced by
-//! exactly one task in serial loop order, so the result is bit-identical for
-//! any `SPDKFAC_THREADS` setting. The pre-pool unblocked kernels remain as
-//! the small-matrix path and as the serial reference selected by
-//! [`crate::gemm::set_reference_kernels`].
+//! From `SMALL_N` up, the inverse runs as three register-tiled phases,
+//! each reading contiguous row-major rows:
+//!
+//! 1. a row-oriented (Banachiewicz) Cholesky, `L[i][j] = (A[i][j] −
+//!    L[i][..j]·L[j][..j]) / L[j][j]`;
+//! 2. a column-tiled triangular inverse writing the rows of `(L⁻¹)ᵀ` (row
+//!    `j` is column `j` of `M = L⁻¹`, the forward substitution `L y = e_j`);
+//! 3. the symmetric product `A⁻¹ = MᵀM` (LAUUM) on the upper triangle,
+//!    mirrored.
+//!
+//! All three push their O(n³) work through [`gemm::dot_tile`]: a 4 × 2
+//! block of dot products over shared row prefixes. A tile covers four rows
+//! and one even-aligned column pair `(jp, jp + 1)`; the dot runs over the
+//! pair's shared range and the at most three remaining terms per entry are
+//! added in scalar order afterwards. Off-diagonals multiply by reciprocal
+//! pivots rather than divide. Every entry is therefore summed in an order
+//! fixed by its own `(i, j)` alone, independent of the tile or task that
+//! computes it — which is what keeps the result bit-identical for any
+//! `SPDKFAC_THREADS` and inside or outside a pool task. From `PAR_N` up
+//! the phases split over the pool: the Cholesky rows of a
+//! `ROW_BLOCK`-row block for the columns left of that block, the column
+//! quads of the triangular inverse, and the row tiles of the LAUUM.
+//!
+//! The seed kernels [`cholesky_unblocked`] and [`Cholesky::inverse_unblocked`]
+//! stay as the path below `SMALL_N` and as the serial reference selected
+//! by [`crate::gemm::set_reference_kernels`].
 
 use crate::error::TensorError;
-use crate::gemm;
+use crate::gemm::{self, TILE_C, TILE_R};
 use crate::matrix::Matrix;
 use crate::pool::{self, SharedSlice};
 
-/// Default block edge for the blocked factorization/inverse; matrices up to
-/// this size use the unblocked kernels.
-const CHOL_NB: usize = 64;
+/// Dimensions below this use the seed kernels: there a tile's fixed costs
+/// (horizontal sums, scalar fix-ups, repeated padding rows) outweigh its
+/// short dots. Measured crossover, see DESIGN.md §2.1.
+const SMALL_N: usize = 20;
 
-/// Minimum panel/trailing elements before a parallel dispatch is worth it.
-const CHOL_PAR_ELEMS: usize = 16 * 1024;
+/// Rows per Cholesky row block; the block's row tiles go to the pool
+/// together for the columns left of the block.
+const ROW_BLOCK: usize = 64;
+
+/// Smallest dimension whose phases dispatch to the pool.
+const PAR_N: usize = 128;
 
 /// A lower-triangular Cholesky factor `L` with `A = L Lᵀ`.
 ///
@@ -60,16 +83,64 @@ pub struct Cholesky {
 /// # }
 /// ```
 pub fn cholesky(a: &Matrix) -> Result<Cholesky, TensorError> {
-    if gemm::reference_kernels() {
+    if gemm::reference_kernels() || !a.is_square() || a.rows() < SMALL_N {
         return cholesky_unblocked(a);
     }
-    cholesky_with_block(a, CHOL_NB)
+    let n = a.rows();
+    // Factor in place over a copy of the lower triangle (the upper stays 0).
+    let mut w = vec![0.0; n * n];
+    for (i, (dst, src)) in w.chunks_mut(n).zip(a.as_slice().chunks(n)).enumerate() {
+        dst[..=i].copy_from_slice(&src[..=i]);
+    }
+    // Reciprocal pivots `1 / L[j][j]`: off-diagonals multiply, not divide.
+    let mut rdiag = vec![0.0; n];
+    let parallel = pool::is_parallel() && n >= PAR_N;
+    for b0 in (0..n).step_by(ROW_BLOCK) {
+        let b1 = (b0 + ROW_BLOCK).min(n);
+        // Columns left of the block: each row tile reads only its own rows
+        // and the finished rows above `b0`.
+        if b0 > 0 {
+            let (done, rest) = w.split_at_mut(b0 * n);
+            let shared = SharedSlice::new(&mut rest[..(b1 - b0) * n]);
+            let rdiag = &rdiag[..b0];
+            let tiles = (b1 - b0).div_ceil(TILE_R);
+            let body = |t: usize| {
+                let r0 = b0 + t * TILE_R;
+                let r1 = (r0 + TILE_R).min(b1);
+                // SAFETY: task t owns rows [r0, r1) of the block.
+                let tile = unsafe { shared.slice_mut((r0 - b0) * n..(r1 - b0) * n) };
+                // Pivots are only checked on diagonals, never left of one.
+                let _ = chol_rows(done, tile, rdiag, n, r0, 0, b0);
+            };
+            for_tasks(parallel, tiles, body);
+        }
+        // The block's own columns, tile after tile: the first failing
+        // diagonal is therefore the lowest one.
+        for r0 in (b0..b1).step_by(TILE_R) {
+            let r1 = (r0 + TILE_R).min(n);
+            let (done, rest) = w.split_at_mut(r0 * n);
+            let own = chol_rows(
+                done,
+                &mut rest[..(r1 - r0) * n],
+                &rdiag[..r0],
+                n,
+                r0,
+                b0,
+                r1,
+            )?;
+            rdiag[r0..r1].copy_from_slice(&own[..r1 - r0]);
+        }
+    }
+    Ok(Cholesky {
+        l: Matrix::from_vec(n, n, w),
+    })
 }
 
 /// The seed factorization: serial unblocked column-by-column `LLᵀ`.
 ///
 /// Kept as the small-matrix path of [`cholesky`], the serial reference for
-/// `bench_kernels`, and the parity baseline for the proptests.
+/// `bench_kernels`, and the parity baseline for the proptests (pivots
+/// included: both report the first failing index).
 ///
 /// # Errors
 ///
@@ -104,139 +175,6 @@ pub fn cholesky_unblocked(a: &Matrix) -> Result<Cholesky, TensorError> {
         }
     }
     Ok(Cholesky { l })
-}
-
-/// Blocked right-looking Cholesky with an explicit block edge `nb`.
-///
-/// Exposed (rather than hard-wiring [`cholesky`]'s default) so tests can
-/// force the blocked code path on small matrices. Matrices with
-/// `n <= nb` fall back to [`cholesky_unblocked`].
-///
-/// # Errors
-///
-/// Same contract as [`cholesky`].
-///
-/// # Panics
-///
-/// Panics if `nb == 0`.
-pub fn cholesky_with_block(a: &Matrix, nb: usize) -> Result<Cholesky, TensorError> {
-    assert!(nb >= 1, "cholesky_with_block: block edge must be positive");
-    if !a.is_square() {
-        return Err(TensorError::NotSquare {
-            op: "cholesky",
-            shape: a.shape(),
-        });
-    }
-    let n = a.rows();
-    if n <= nb {
-        return cholesky_unblocked(a);
-    }
-    // Working copy of the lower triangle (the upper triangle is ignored,
-    // matching the unblocked kernel's read pattern).
-    let mut w = vec![0.0; n * n];
-    let src = a.as_slice();
-    for i in 0..n {
-        w[i * n..i * n + i + 1].copy_from_slice(&src[i * n..i * n + i + 1]);
-    }
-    for j0 in (0..n).step_by(nb) {
-        let j1 = (j0 + nb).min(n);
-        let bw = j1 - j0;
-        // Factor the diagonal block in place (unblocked; its columns only
-        // depend on columns within the block after prior trailing updates).
-        for j in j0..j1 {
-            let mut d = w[j * n + j];
-            for k in j0..j {
-                d -= w[j * n + k] * w[j * n + k];
-            }
-            if d <= 0.0 || !d.is_finite() {
-                return Err(TensorError::NotPositiveDefinite { pivot: j });
-            }
-            let dj = d.sqrt();
-            w[j * n + j] = dj;
-            for i in (j + 1)..j1 {
-                let mut s = w[i * n + j];
-                for k in j0..j {
-                    s -= w[i * n + k] * w[j * n + k];
-                }
-                w[i * n + j] = s / dj;
-            }
-        }
-        if j1 == n {
-            break;
-        }
-        // Snapshot the factored diagonal block: panel tasks read it while
-        // holding mutable windows onto their own (disjoint) row ranges.
-        let mut l11 = vec![0.0; bw * bw];
-        for (r, row) in l11.chunks_mut(bw).enumerate() {
-            row.copy_from_slice(&w[(j0 + r) * n + j0..(j0 + r) * n + j1]);
-        }
-        let rows_below = n - j1;
-        let tasks = rows_below.div_ceil(CHOL_NB);
-        let parallel = pool::is_parallel() && tasks > 1 && rows_below * bw >= CHOL_PAR_ELEMS;
-        // Panel solve: L21 · L11ᵀ = A21, row by row (each row independent).
-        {
-            let shared = SharedSlice::new(&mut w);
-            let body = |t: usize| {
-                let r0 = j1 + t * CHOL_NB;
-                let r1 = (r0 + CHOL_NB).min(n);
-                // SAFETY: task t owns rows [r0, r1) exclusively.
-                let rows = unsafe { shared.slice_mut(r0 * n..r1 * n) };
-                for row in rows.chunks_mut(n) {
-                    for j in j0..j1 {
-                        let jb = j - j0;
-                        let lrow = &l11[jb * bw..jb * bw + jb];
-                        let mut s = row[j];
-                        for (k, &lv) in lrow.iter().enumerate() {
-                            s -= row[j0 + k] * lv;
-                        }
-                        row[j] = s / l11[jb * bw + jb];
-                    }
-                }
-            };
-            if parallel {
-                pool::parallel_for(tasks, body);
-            } else {
-                for t in 0..tasks {
-                    body(t);
-                }
-            }
-        }
-        // Snapshot the solved panel: the trailing update of row i reads the
-        // panel rows of every j ≤ i, which other tasks own.
-        let mut panel = vec![0.0; rows_below * bw];
-        for (r, prow) in panel.chunks_mut(bw).enumerate() {
-            prow.copy_from_slice(&w[(j1 + r) * n + j0..(j1 + r) * n + j1]);
-        }
-        // Trailing update: A22 -= L21 · L21ᵀ (lower triangle only).
-        {
-            let shared = SharedSlice::new(&mut w);
-            let body = |t: usize| {
-                let r0 = j1 + t * CHOL_NB;
-                let r1 = (r0 + CHOL_NB).min(n);
-                // SAFETY: task t owns rows [r0, r1) exclusively; reads go to
-                // the immutable `panel` snapshot.
-                let rows = unsafe { shared.slice_mut(r0 * n..r1 * n) };
-                for (ri, row) in rows.chunks_mut(n).enumerate() {
-                    let i = r0 + ri;
-                    let pi = &panel[(i - j1) * bw..(i - j1 + 1) * bw];
-                    for j in j1..=i {
-                        let pj = &panel[(j - j1) * bw..(j - j1 + 1) * bw];
-                        row[j] -= gemm::dot(pi, pj);
-                    }
-                }
-            };
-            if parallel {
-                pool::parallel_for(tasks, body);
-            } else {
-                for t in 0..tasks {
-                    body(t);
-                }
-            }
-        }
-    }
-    Ok(Cholesky {
-        l: Matrix::from_vec(n, n, w),
-    })
 }
 
 impl Cholesky {
@@ -302,13 +240,45 @@ impl Cholesky {
 
     /// Computes the full inverse `A⁻¹ = L⁻ᵀ L⁻¹` (POTRI-style).
     ///
-    /// The result is exactly symmetric by construction. Dimensions above one
-    /// block dispatch to [`Cholesky::inverse_with_block`].
+    /// The result is exactly symmetric by construction. From `SMALL_N` up
+    /// it runs the tiled triangular inverse and LAUUM (module docs).
     pub fn inverse(&self) -> Matrix {
-        if gemm::reference_kernels() || self.dim() <= CHOL_NB {
+        let n = self.dim();
+        if gemm::reference_kernels() || n < SMALL_N {
             return self.inverse_unblocked();
         }
-        self.inverse_with_block(CHOL_NB)
+        let l = self.l.as_slice();
+        let parallel = pool::is_parallel() && n >= PAR_N;
+        // Rows of Mᵀ, one column quad of M per task: each column is an
+        // independent forward substitution.
+        let rdiag: Vec<f64> = (0..n).map(|i| 1.0 / l[i * n + i]).collect();
+        let mut mt = vec![0.0; n * n];
+        {
+            let shared = SharedSlice::new(&mut mt);
+            let tasks = n.div_ceil(TILE_R);
+            let body = |t: usize| {
+                let jq = t * TILE_R;
+                // SAFETY: task t owns rows [jq, jq + TILE_R) of Mᵀ.
+                let rows = unsafe { shared.slice_mut(jq * n..(jq + TILE_R).min(n) * n) };
+                trinv_cols(l, &rdiag, rows, jq);
+            };
+            for_tasks(parallel, tasks, body);
+        }
+        // Upper triangle of MᵀM, one row tile per task, then mirrored.
+        let mut inv = vec![0.0; n * n];
+        {
+            let shared = SharedSlice::new(&mut inv);
+            let tiles = n.div_ceil(TILE_R);
+            let body = |t: usize| {
+                let i0 = t * TILE_R;
+                // SAFETY: task t owns output rows [i0, i0 + TILE_R).
+                let rows = unsafe { shared.slice_mut(i0 * n..(i0 + TILE_R).min(n) * n) };
+                lauum_rows(&mt, rows, n, i0);
+            };
+            for_tasks(parallel, tiles, body);
+        }
+        gemm::mirror_upper(&mut inv, n);
+        Matrix::from_vec(n, n, inv)
     }
 
     /// The seed inverse: serial scalar triangular inversion followed by the
@@ -345,93 +315,6 @@ impl Cholesky {
         inv
     }
 
-    /// Pool-parallel inverse with an explicit block edge `nb`.
-    ///
-    /// Exposed so tests can force the blocked code path on small matrices.
-    /// Each column of `M = L⁻¹` is an independent forward substitution
-    /// (columns are distributed over the pool in `nb`-wide chunks), and the
-    /// symmetric product `A⁻¹ = MᵀM` is computed over upper-triangle blocks
-    /// exploiting the triangular sparsity of `M`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nb == 0`.
-    pub fn inverse_with_block(&self, nb: usize) -> Matrix {
-        assert!(nb >= 1, "inverse_with_block: block edge must be positive");
-        let n = self.dim();
-        let l = self.l.as_slice();
-        // `mt` holds Mᵀ row-major: row j of `mt` is column j of M = L⁻¹,
-        // contiguous for the forward substitution and the dots below.
-        let mut mt = vec![0.0; n * n];
-        {
-            let shared = SharedSlice::new(&mut mt);
-            let tasks = n.div_ceil(nb);
-            let parallel = pool::is_parallel() && tasks > 1 && n * n >= CHOL_PAR_ELEMS;
-            let body = |t: usize| {
-                let c0 = t * nb;
-                let c1 = (c0 + nb).min(n);
-                // SAFETY: task t owns columns [c0, c1) = `mt` rows [c0, c1).
-                let cols = unsafe { shared.slice_mut(c0 * n..c1 * n) };
-                for (ci, y) in cols.chunks_mut(n).enumerate() {
-                    let j = c0 + ci;
-                    // Forward substitution L y = e_j; y is zero above row j.
-                    y[j] = 1.0 / l[j * n + j];
-                    for i in (j + 1)..n {
-                        let s = gemm::dot(&l[i * n + j..i * n + i], &y[j..i]);
-                        y[i] = -s / l[i * n + i];
-                    }
-                }
-            };
-            if parallel {
-                pool::parallel_for(tasks, body);
-            } else {
-                for t in 0..tasks {
-                    body(t);
-                }
-            }
-        }
-        // A⁻¹(i, j) = Σ_k M(k, i) M(k, j); both columns are zero above
-        // max(i, j), so for i ≤ j the dot starts at k = j.
-        let mut inv = vec![0.0; n * n];
-        {
-            let shared = SharedSlice::new(&mut inv);
-            let blocks = n.div_ceil(nb);
-            let pairs: Vec<(usize, usize)> = (0..blocks)
-                .flat_map(|bi| (bi..blocks).map(move |bj| (bi, bj)))
-                .collect();
-            let parallel = pool::is_parallel() && pairs.len() > 1 && n * n >= CHOL_PAR_ELEMS;
-            let body = |t: usize| {
-                let (bi, bj) = pairs[t];
-                let i0 = bi * nb;
-                let i1 = (i0 + nb).min(n);
-                let j0 = bj * nb;
-                let j1 = (j0 + nb).min(n);
-                // SAFETY: upper-triangle block (bi, bj) is owned by this task.
-                let c = unsafe { shared.slice_mut(0..n * n) };
-                for i in i0..i1 {
-                    for j in j0.max(i)..j1 {
-                        c[i * n + j] =
-                            gemm::dot(&mt[i * n + j..(i + 1) * n], &mt[j * n + j..(j + 1) * n]);
-                    }
-                }
-            };
-            if parallel {
-                pool::parallel_for(pairs.len(), body);
-            } else {
-                for t in 0..pairs.len() {
-                    body(t);
-                }
-            }
-        }
-        // Mirror the upper triangle.
-        for i in 0..n {
-            for j in (i + 1)..n {
-                inv[j * n + i] = inv[i * n + j];
-            }
-        }
-        Matrix::from_vec(n, n, inv)
-    }
-
     /// Log-determinant of `A`: `2 Σ log L_ii`.
     pub fn log_det(&self) -> f64 {
         (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
@@ -461,6 +344,151 @@ impl Cholesky {
 /// ```
 pub fn spd_inverse(a: &Matrix) -> Result<Matrix, TensorError> {
     Ok(cholesky(a)?.inverse())
+}
+
+// Every tile below pads a short edge by repeating its last row; the padded
+// results are discarded (see `gemm::dot_tile`). Pairs stay aligned to even
+// columns because tiles start at multiples of `TILE_R`.
+const _: () = assert!(TILE_R.is_multiple_of(TILE_C));
+
+/// Runs `body(0)`, …, `body(tasks - 1)` over the pool when `parallel`,
+/// otherwise in order on this thread.
+fn for_tasks(parallel: bool, tasks: usize, body: impl Fn(usize) + Sync) {
+    if parallel {
+        pool::parallel_for(tasks, body);
+    } else {
+        (0..tasks).for_each(body);
+    }
+}
+
+/// Row `i` of a factor under construction: rows above `r0` are read from
+/// `done`, the rows of the current tile (from `r0`) from `tile`.
+fn row<'a>(done: &'a [f64], tile: &'a [f64], n: usize, r0: usize, i: usize) -> &'a [f64] {
+    if i < r0 {
+        &done[i * n..(i + 1) * n]
+    } else {
+        &tile[(i - r0) * n..(i - r0 + 1) * n]
+    }
+}
+
+/// Cholesky phase: columns `c0..c1` (`c0` even) of the factor rows held in
+/// `tile` (global rows from `r0`, holding `A`'s lower triangle where not
+/// yet factored), given the finished rows `..r0` in `done` and their
+/// reciprocal pivots in `rdiag`. Returns the reciprocal pivots of the
+/// tile's own diagonal entries in `c0..c1`.
+///
+/// Per pair `(jp, jp + 1)` the tile kernel takes the dot over the shared
+/// prefix `..jp`; the term `jp` of the odd column follows once its pair
+/// mate is resolved.
+fn chol_rows(
+    done: &[f64],
+    tile: &mut [f64],
+    rdiag: &[f64],
+    n: usize,
+    r0: usize,
+    c0: usize,
+    c1: usize,
+) -> Result<[f64; TILE_R], TensorError> {
+    let rows = tile.len() / n;
+    let mut own = [0.0; TILE_R];
+    for jp in (c0..c1).step_by(TILE_C) {
+        let s = {
+            let tile = &*tile;
+            let x = std::array::from_fn(|r| &row(done, tile, n, r0, r0 + r.min(rows - 1))[..jp]);
+            let y = std::array::from_fn(|c| &row(done, tile, n, r0, (jp + c).min(c1 - 1))[..jp]);
+            gemm::dot_tile(jp, x, y)
+        };
+        for (c, j) in (jp..(jp + TILE_C).min(c1)).enumerate() {
+            for i in r0.max(j)..r0 + rows {
+                let lj = row(done, tile, n, r0, j);
+                let li = &tile[(i - r0) * n..(i - r0 + 1) * n];
+                let mut t = s[i - r0][c];
+                for k in jp..j {
+                    t += li[k] * lj[k];
+                }
+                let v = if i == j {
+                    let d = li[j] - t;
+                    if d <= 0.0 || !d.is_finite() {
+                        return Err(TensorError::NotPositiveDefinite { pivot: j });
+                    }
+                    let ljj = d.sqrt();
+                    own[j - r0] = 1.0 / ljj;
+                    ljj
+                } else if j < r0 {
+                    (li[j] - t) * rdiag[j]
+                } else {
+                    (li[j] - t) * own[j - r0]
+                };
+                tile[(i - r0) * n + j] = v;
+            }
+        }
+    }
+    Ok(own)
+}
+
+/// Triangular-inverse phase: rows `jq..` of `Mᵀ` held in `y` (up to
+/// `TILE_R` of them, one per column of `M = L⁻¹` from `jq`), i.e. the
+/// forward substitutions `L y = e_j`, over row pairs of `L` starting at
+/// `jq`. The tile kernel takes the dot over the finished range `jq..i0` —
+/// the `Mᵀ` rows stay in cache while the rows of `L` stream past — and the
+/// pair's first row follows in scalar order. `rdiag` holds `1 / L[i][i]`.
+fn trinv_cols(l: &[f64], rdiag: &[f64], y: &mut [f64], jq: usize) {
+    let n = rdiag.len();
+    let cols = y.len() / n;
+    for i0 in (jq..n).step_by(TILE_C) {
+        let i1 = (i0 + TILE_C).min(n);
+        let s = {
+            let y = &*y;
+            let yc = std::array::from_fn(|c| {
+                let c = c.min(cols - 1);
+                &y[c * n + jq..c * n + i0]
+            });
+            let x = std::array::from_fn(|r| {
+                let i = (i0 + r).min(i1 - 1);
+                &l[i * n + jq..i * n + i0]
+            });
+            gemm::dot_tile(i0 - jq, yc, x)
+        };
+        for (c, sc) in s.iter().enumerate().take(cols) {
+            let j = jq + c;
+            let yj = &mut y[c * n..(c + 1) * n];
+            for i in i0.max(j)..i1 {
+                yj[i] = if i == j {
+                    rdiag[i]
+                } else {
+                    let li = &l[i * n..(i + 1) * n];
+                    let mut t = sc[i - i0];
+                    for k in i0..i {
+                        t += li[k] * yj[k];
+                    }
+                    -t * rdiag[i]
+                };
+            }
+        }
+    }
+}
+
+/// LAUUM phase: the upper-triangle entries of rows `i0..` of `MᵀM` into
+/// `out`. `A⁻¹[i][j]` is the dot of `Mᵀ` rows `i` and `j` over `j..n`; the
+/// tile runs each pair over `jp..n`, where `Mᵀ[j][jp..j]` is zero.
+fn lauum_rows(mt: &[f64], out: &mut [f64], n: usize, i0: usize) {
+    let rows = out.len() / n;
+    for jp in (i0..n).step_by(TILE_C) {
+        let x = std::array::from_fn(|r| {
+            let i = i0 + r.min(rows - 1);
+            &mt[i * n + jp..(i + 1) * n]
+        });
+        let y = std::array::from_fn(|c| {
+            let j = (jp + c).min(n - 1);
+            &mt[j * n + jp..(j + 1) * n]
+        });
+        let s = gemm::dot_tile(n - jp, x, y);
+        for (c, j) in (jp..(jp + TILE_C).min(n)).enumerate() {
+            for (r, sr) in s.iter().enumerate().take(rows.min(j + 1 - i0)) {
+                out[r * n + j] = sr[c];
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -587,46 +615,77 @@ mod tests {
     }
 
     #[test]
-    fn blocked_factorization_matches_unblocked() {
-        for n in [5usize, 16, 33, 65, 130] {
+    fn tiled_factorization_matches_unblocked() {
+        // Below, at and above SMALL_N, across tile/pair remainders and
+        // row blocks.
+        for n in [5usize, 23, 24, 27, 33, 64, 65, 130, 256, 257] {
             let a = random_spd(n, 500 + n as u64);
-            let unblocked = cholesky_unblocked(&a).unwrap();
-            // Small nb forces the blocked path even on tiny matrices.
-            for nb in [2usize, 7, 16] {
-                let blocked = cholesky_with_block(&a, nb).unwrap();
-                assert!(
-                    blocked.factor().max_abs_diff(unblocked.factor()) < 1e-10,
-                    "blocked nb={nb} diverges at n={n}"
-                );
-            }
+            let tiled = cholesky(&a).unwrap();
+            let reference = cholesky_unblocked(&a).unwrap();
+            assert!(
+                tiled.factor().max_abs_diff(reference.factor()) < 1e-10,
+                "tiled factor diverges at n={n}"
+            );
         }
     }
 
     #[test]
-    fn blocked_inverse_matches_unblocked() {
-        for n in [5usize, 16, 33, 65] {
+    fn tiled_inverse_matches_unblocked() {
+        for n in [5usize, 23, 24, 27, 33, 64, 65, 130, 256, 257] {
             let a = random_spd(n, 900 + n as u64);
             let ch = cholesky(&a).unwrap();
-            let reference = ch.inverse_unblocked();
-            for nb in [2usize, 7, 16] {
-                let blocked = ch.inverse_with_block(nb);
-                assert!(
-                    blocked.max_abs_diff(&reference) < 1e-10,
-                    "blocked inverse nb={nb} diverges at n={n}"
-                );
-                assert_eq!(blocked.max_asymmetry(), 0.0);
-            }
+            let tiled = ch.inverse();
+            assert!(
+                tiled.max_abs_diff(&ch.inverse_unblocked()) < 1e-10,
+                "tiled inverse diverges at n={n}"
+            );
+            assert_eq!(tiled.max_asymmetry(), 0.0);
+        }
+    }
+
+    fn pivot(r: Result<Cholesky, TensorError>) -> usize {
+        match r {
+            Err(TensorError::NotPositiveDefinite { pivot }) => pivot,
+            other => panic!("expected NotPositiveDefinite, got {other:?}"),
         }
     }
 
     #[test]
-    fn blocked_factorization_reports_global_pivot() {
-        // Indefinite beyond the first block: pivot index must be global.
-        let mut a = random_spd(9, 77);
-        a[(7, 7)] = -100.0;
-        match cholesky_with_block(&a, 4) {
-            Err(TensorError::NotPositiveDefinite { pivot }) => assert_eq!(pivot, 7),
-            other => panic!("expected NotPositiveDefinite, got {other:?}"),
+    fn tiled_pivot_matches_unblocked() {
+        // Interior rows of a 4-row tile, in the first and a later row block.
+        for (n, bad) in [(40usize, 30usize), (150, 130), (150, 65)] {
+            let mut a = random_spd(n, 77 + n as u64);
+            a[(bad, bad)] = -100.0;
+            let p = pivot(cholesky(&a));
+            assert_eq!(p, bad);
+            assert_eq!(p, pivot(cholesky_unblocked(&a)));
+        }
+        // A NaN off-diagonal (lower triangle) poisons its row's diagonal.
+        for (n, i, j) in [(40usize, 33usize, 10usize), (150, 130, 70), (150, 66, 65)] {
+            let mut a = random_spd(n, 88 + n as u64);
+            a[(i, j)] = f64::NAN;
+            let p = pivot(cholesky(&a));
+            assert_eq!(p, i);
+            assert_eq!(p, pivot(cholesky_unblocked(&a)));
+        }
+    }
+
+    #[test]
+    fn inverse_is_bit_identical_inside_and_outside_pool_task() {
+        // Inside a pool task every phase re-enters serially; outside, large
+        // matrices split over the pool. Both must give the same bits.
+        for n in [48usize, 200, 257] {
+            let a = random_spd(n, 4242 + n as u64);
+            let outside = spd_inverse(&a).unwrap();
+            let inside = std::sync::Mutex::new(None);
+            pool::parallel_for(2, |t| {
+                if t == 0 {
+                    *inside.lock().unwrap() = Some(spd_inverse(&a).unwrap());
+                }
+            });
+            let inside = inside.into_inner().unwrap().expect("task ran");
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&outside), bits(&inside), "bits differ at n={n}");
         }
     }
 

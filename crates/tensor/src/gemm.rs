@@ -36,7 +36,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// kernels below.
 #[cfg(target_arch = "x86_64")]
 mod simd {
-    use super::{MR, NR};
+    use super::{MR, NR, TILE_C, TILE_R};
     use std::arch::x86_64::*;
     use std::sync::OnceLock;
 
@@ -130,6 +130,57 @@ mod simd {
         }
     }
 
+    /// `TILE_R × TILE_C` block of dot products (see [`super::dot_tile`]):
+    /// one 4-lane FMA accumulator per entry, the `k % 4` tail through a
+    /// masked load, and each accumulator reduced as `(l0 + l1) + (l2 + l3)`.
+    ///
+    /// # Safety
+    /// Caller must have verified [`available`]; every slice holds `k`
+    /// elements.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn dot_tile(
+        k: usize,
+        x: [&[f64]; TILE_R],
+        y: [&[f64]; TILE_C],
+    ) -> [[f64; TILE_C]; TILE_R] {
+        const LANES: [i64; 8] = [-1, -1, -1, -1, 0, 0, 0, 0];
+        unsafe {
+            let xp = x.map(<[f64]>::as_ptr);
+            let y0 = y[0].as_ptr();
+            let y1 = y[1].as_ptr();
+            let mut acc = [[_mm256_setzero_pd(); TILE_C]; TILE_R];
+            let mut p = 0;
+            while p + 4 <= k {
+                let b0 = _mm256_loadu_pd(y0.add(p));
+                let b1 = _mm256_loadu_pd(y1.add(p));
+                for (a, &xr) in acc.iter_mut().zip(xp.iter()) {
+                    let v = _mm256_loadu_pd(xr.add(p));
+                    a[0] = _mm256_fmadd_pd(v, b0, a[0]);
+                    a[1] = _mm256_fmadd_pd(v, b1, a[1]);
+                }
+                p += 4;
+            }
+            if p < k {
+                let mask = _mm256_loadu_si256(LANES.as_ptr().add(4 - (k - p)).cast());
+                let b0 = _mm256_maskload_pd(y0.add(p), mask);
+                let b1 = _mm256_maskload_pd(y1.add(p), mask);
+                for (a, &xr) in acc.iter_mut().zip(xp.iter()) {
+                    let v = _mm256_maskload_pd(xr.add(p), mask);
+                    a[0] = _mm256_fmadd_pd(v, b0, a[0]);
+                    a[1] = _mm256_fmadd_pd(v, b1, a[1]);
+                }
+            }
+            let mut out = [[0.0; TILE_C]; TILE_R];
+            for (o, a) in out.iter_mut().zip(acc.iter()) {
+                // [a0+a1, b0+b1, a2+a3, b2+b3] → [(a0+a1)+(a2+a3), (b0+b1)+(b2+b3)]
+                let h = _mm256_hadd_pd(a[0], a[1]);
+                let s = _mm_add_pd(_mm256_castpd256_pd128(h), _mm256_extractf128_pd(h, 1));
+                _mm_storeu_pd(o.as_mut_ptr(), s);
+            }
+            out
+        }
+    }
+
     /// `y += alpha * x` with FMA.
     ///
     /// # Safety
@@ -160,6 +211,10 @@ mod simd {
 const MR: usize = 4;
 /// Microkernel tile width (cols of C per register tile).
 const NR: usize = 8;
+/// Rows (`x` operands) of a [`dot_tile`] block.
+pub(crate) const TILE_R: usize = 4;
+/// Columns (`y` operands) of a [`dot_tile`] block.
+pub(crate) const TILE_C: usize = 2;
 /// Rows of `op(A)` packed per task block; multiple of `MR`.
 const MC: usize = 64;
 /// Depth (k) packed per cache block.
@@ -405,6 +460,45 @@ pub(crate) fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     for (o, &v) in y.iter_mut().zip(x.iter()) {
         *o += alpha * v;
     }
+}
+
+/// Register-tiled block of dot products over shared prefixes:
+/// `out[r][c] = x[r] · y[c]`, every slice of length `k`.
+///
+/// Each entry has its own 4-lane accumulator (lane `p % 4` takes term `p`)
+/// reduced as `(l0 + l1) + (l2 + l3)`, so an entry's value depends only on
+/// its two operands — never on which other rows share the tile. Callers
+/// may therefore pad a short tile with repeated rows and discard the
+/// duplicates. AVX2+FMA when the CPU has it, portable otherwise.
+#[inline]
+pub(crate) fn dot_tile(
+    k: usize,
+    x: [&[f64]; TILE_R],
+    y: [&[f64]; TILE_C],
+) -> [[f64; TILE_C]; TILE_R] {
+    assert!(
+        x.iter().chain(y.iter()).all(|s| s.len() == k),
+        "dot_tile: operand length mismatch"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if simd::available() {
+        // SAFETY: AVX2+FMA presence checked above; lengths checked above.
+        return unsafe { simd::dot_tile(k, x, y) };
+    }
+    dot_tile_generic(k, x, y)
+}
+
+/// Portable [`dot_tile`] with the same lane assignment and reduction order.
+fn dot_tile_generic(k: usize, x: [&[f64]; TILE_R], y: [&[f64]; TILE_C]) -> [[f64; TILE_C]; TILE_R] {
+    let mut acc = [[[0.0f64; 4]; TILE_C]; TILE_R];
+    for p in 0..k {
+        for (ar, xr) in acc.iter_mut().zip(x.iter()) {
+            for (a, yc) in ar.iter_mut().zip(y.iter()) {
+                a[p % 4] += xr[p] * yc[p];
+            }
+        }
+    }
+    acc.map(|ar| ar.map(|l| (l[0] + l[1]) + (l[2] + l[3])))
 }
 
 /// Packs `mc` rows × `kc` depth of `op(A)` into `MR`-row panels,
@@ -694,11 +788,16 @@ pub(crate) fn syrk_nt(rows: usize, d: usize, x: &[f64]) -> Vec<f64> {
 }
 
 /// Copies the strictly-upper triangle of a square `d × d` buffer into the
-/// lower one.
-fn mirror_upper(out: &mut [f64], d: usize) {
-    for i in 0..d {
-        for j in (i + 1)..d {
-            out[j * d + i] = out[i * d + j];
+/// lower one, in square blocks so the column-strided writes stay in cache.
+pub(crate) fn mirror_upper(out: &mut [f64], d: usize) {
+    const B: usize = 16;
+    for i0 in (0..d).step_by(B) {
+        for j0 in (i0..d).step_by(B) {
+            for i in i0..(i0 + B).min(d) {
+                for j in (j0.max(i + 1))..(j0 + B).min(d) {
+                    out[j * d + i] = out[i * d + j];
+                }
+            }
         }
     }
 }
@@ -825,6 +924,27 @@ mod tests {
 
         let x = seq(41 * 23, 0.01);
         assert!(max_diff(&syrk_tn(41, 23, &x), &gramian_reference(41, 23, &x)) < 1e-11);
+    }
+
+    #[test]
+    fn dot_tile_matches_dot_per_entry() {
+        let rows: Vec<Vec<f64>> = (0..6).map(|r| seq(37, 0.01 * (r + 1) as f64)).collect();
+        for k in 0..=37 {
+            let x = std::array::from_fn(|r| &rows[r][..k]);
+            let y = std::array::from_fn(|c| &rows[TILE_R + c][..k]);
+            let got = dot_tile(k, x, y);
+            let portable = dot_tile_generic(k, x, y);
+            for r in 0..TILE_R {
+                for c in 0..TILE_C {
+                    let want: f64 = x[r].iter().zip(y[c]).map(|(a, b)| a * b).sum();
+                    assert!((got[r][c] - want).abs() < 1e-12, "k={k} ({r},{c})");
+                    assert!((portable[r][c] - want).abs() < 1e-12, "portable k={k}");
+                }
+            }
+            // An entry's value does not depend on its tile neighbours.
+            let dup = dot_tile(k, [x[1]; TILE_R], [y[0]; TILE_C]);
+            assert_eq!(dup[3][1].to_bits(), got[1][0].to_bits(), "k={k}");
+        }
     }
 
     #[test]

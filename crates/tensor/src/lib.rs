@@ -13,7 +13,7 @@
 //! - [`pool`]: the shared persistent worker pool (sized by `SPDKFAC_THREADS`)
 //!   that every parallel kernel dispatches through; results are bit-identical
 //!   for any thread count.
-//! - [`chol`]: blocked Cholesky factorization and SPD inversion — the CPU
+//! - [`chol`]: tiled Cholesky factorization and SPD inversion — the CPU
 //!   analogue of the cuSolver path the paper uses to invert damped Kronecker
 //!   factors `(A + γI)⁻¹` and `(G + γI)⁻¹`.
 //! - [`SymPacked`]: upper-triangle packed storage with `d(d+1)/2` elements —

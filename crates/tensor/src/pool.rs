@@ -1,6 +1,6 @@
 //! A shared, lazily-initialized persistent worker pool for the dense kernels.
 //!
-//! Every parallel kernel in this crate (GEMM, SYRK, blocked Cholesky, im2col
+//! Every parallel kernel in this crate (GEMM, SYRK, tiled Cholesky, im2col
 //! in `spdkfac-nn`) dispatches work through one process-wide pool instead of
 //! spawning scoped threads per call. The pool is sized by the
 //! `SPDKFAC_THREADS` environment variable (read once, at first use) and

@@ -147,21 +147,43 @@ proptest! {
     }
 
     #[test]
-    fn blocked_cholesky_matches_serial_reference(d in 2usize..40, nb in 1usize..17, seed in 0u64..1_000_000) {
+    fn tiled_cholesky_matches_serial_reference(d in 1usize..97, seed in 0u64..1_000_000) {
+        // 1..=96 crosses the reference crossover and every tile remainder.
         let mut rng = MatrixRng::new(seed);
         let a = rng.spd_matrix(d, 0.5);
         let reference = chol::cholesky_unblocked(&a).unwrap();
-        let blocked = chol::cholesky_with_block(&a, nb).unwrap();
-        prop_assert!(blocked.factor().max_abs_diff(reference.factor()) < 1e-12);
+        let tiled = chol::cholesky(&a).unwrap();
+        prop_assert!(tiled.factor().max_abs_diff(reference.factor()) < 1e-12);
     }
 
     #[test]
-    fn blocked_inverse_matches_serial_reference(d in 2usize..40, nb in 1usize..17, seed in 0u64..1_000_000) {
+    fn tiled_inverse_matches_serial_reference(d in 1usize..97, seed in 0u64..1_000_000) {
         let mut rng = MatrixRng::new(seed);
         let a = rng.spd_matrix(d, 0.5);
         let ch = chol::cholesky(&a).unwrap();
-        let blocked = ch.inverse_with_block(nb);
-        prop_assert!(blocked.max_abs_diff(&ch.inverse_unblocked()) < 1e-12);
-        prop_assert_eq!(blocked.max_asymmetry(), 0.0);
+        let tiled = ch.inverse();
+        prop_assert!(tiled.max_abs_diff(&ch.inverse_unblocked()) < 1e-12);
+        prop_assert_eq!(tiled.max_asymmetry(), 0.0);
+    }
+}
+
+/// The factor dims where the tiled kernels change shape: a full row block
+/// (128), a 64-multiple (256) and the remainder just past it (257).
+#[test]
+fn tiled_kernels_match_serial_reference_at_large_dims() {
+    for (d, seed) in [(128usize, 1u64), (256, 2), (257, 3)] {
+        let a = MatrixRng::new(seed).spd_matrix(d, 0.5);
+        let reference = chol::cholesky_unblocked(&a).unwrap();
+        let ch = chol::cholesky(&a).unwrap();
+        assert!(
+            ch.factor().max_abs_diff(reference.factor()) < 1e-12,
+            "factor at d={d}"
+        );
+        let inv = ch.inverse();
+        assert!(
+            inv.max_abs_diff(&ch.inverse_unblocked()) < 1e-12,
+            "inverse at d={d}"
+        );
+        assert_eq!(inv.max_asymmetry(), 0.0);
     }
 }
