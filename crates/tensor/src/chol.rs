@@ -16,18 +16,20 @@
 //! 3. the symmetric product `A⁻¹ = MᵀM` (LAUUM) on the upper triangle,
 //!    mirrored.
 //!
-//! All three push their O(n³) work through [`gemm::dot_tile`]: a 4 × 2
-//! block of dot products over shared row prefixes. A tile covers four rows
-//! and one even-aligned column pair `(jp, jp + 1)`; the dot runs over the
-//! pair's shared range and the at most three remaining terms per entry are
-//! added in scalar order afterwards. Off-diagonals multiply by reciprocal
-//! pivots rather than divide. Every entry is therefore summed in an order
-//! fixed by its own `(i, j)` alone, independent of the tile or task that
-//! computes it — which is what keeps the result bit-identical for any
-//! `SPDKFAC_THREADS` and inside or outside a pool task. From `PAR_N` up
-//! the phases split over the pool: the Cholesky rows of a
-//! `ROW_BLOCK`-row block for the columns left of that block, the column
-//! quads of the triangular inverse, and the row tiles of the LAUUM.
+//! All three push their O(n³) work through `gemm::dot_tile`: a 4 × 2
+//! block of dot products over shared row prefixes. In the Cholesky and the
+//! LAUUM a tile is four output rows × one even-aligned column pair
+//! `(jp, jp + 1)`; in the triangular inverse it is four columns of `M` ×
+//! one pair of rows of `L`. The dot runs over the pair's shared range and
+//! the at most one remaining term per entry is added in scalar order
+//! afterwards. Off-diagonals multiply by reciprocal pivots rather than
+//! divide. Every entry is therefore summed in an order fixed by its own
+//! `(i, j)` alone, independent of the tile or task that computes it —
+//! which is what keeps the result bit-identical for any `SPDKFAC_THREADS`
+//! and inside or outside a pool task. From `PAR_N` up the phases split
+//! over the pool: the Cholesky rows of a `ROW_BLOCK`-row block for the
+//! columns left of that block, the column quads of the triangular inverse,
+//! and the row tiles of the LAUUM.
 //!
 //! The seed kernels [`cholesky_unblocked`] and [`Cholesky::inverse_unblocked`]
 //! stay as the path below `SMALL_N` and as the serial reference selected
@@ -617,8 +619,8 @@ mod tests {
     #[test]
     fn tiled_factorization_matches_unblocked() {
         // Below, at and above SMALL_N, across tile/pair remainders and
-        // row blocks.
-        for n in [5usize, 23, 24, 27, 33, 64, 65, 130, 256, 257] {
+        // row blocks (d = 128, 256, 257 are in the crate's proptests).
+        for n in [5usize, 23, 24, 27, 33, 64, 65, 130] {
             let a = random_spd(n, 500 + n as u64);
             let tiled = cholesky(&a).unwrap();
             let reference = cholesky_unblocked(&a).unwrap();
@@ -631,7 +633,7 @@ mod tests {
 
     #[test]
     fn tiled_inverse_matches_unblocked() {
-        for n in [5usize, 23, 24, 27, 33, 64, 65, 130, 256, 257] {
+        for n in [5usize, 23, 24, 27, 33, 64, 65, 130] {
             let a = random_spd(n, 900 + n as u64);
             let ch = cholesky(&a).unwrap();
             let tiled = ch.inverse();

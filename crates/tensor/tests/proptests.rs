@@ -167,8 +167,8 @@ proptest! {
     }
 }
 
-/// The factor dims where the tiled kernels change shape: a full row block
-/// (128), a 64-multiple (256) and the remainder just past it (257).
+/// Large factor dims: the first size split over the pool (128), a
+/// 64-multiple (256) and the remainder just past it (257).
 #[test]
 fn tiled_kernels_match_serial_reference_at_large_dims() {
     for (d, seed) in [(128usize, 1u64), (256, 2), (257, 3)] {
