@@ -199,8 +199,10 @@ fn write_frame(w: &mut impl Write, msg: &RingMsg) -> std::io::Result<()> {
 }
 
 /// Frame-body bytes reserved before any arrive. The length header is
-/// untrusted, so a larger body grows as its bytes are actually read; ring
-/// chunks stay below this, so they still take one allocation.
+/// untrusted, so a larger body grows (by doubling) as its bytes are
+/// actually read. The benchmark's ring chunks stay below this and take one
+/// allocation; an f64 chunk of a factor with d ≳ 512 at world 2 does not,
+/// and pays a few reallocations.
 const FRAME_PREALLOC: usize = 1 << 20;
 
 fn read_frame(r: &mut impl Read) -> std::io::Result<RingMsg> {

@@ -682,11 +682,15 @@ fn train_segment(
         comm.set_phase(Phase::FactorComm);
         let forward_span = obs.span(Phase::FfBp);
         let out = if pipelined {
+            // Until the first iteration's ready times are agreed, nothing is
+            // known to hide a message behind: each pass goes out as one
+            // message (Naive), not one startup per factor that a short pass
+            // would leave fully exposed.
             let plan = store.current().a_fusion.clone().unwrap_or_else(|| {
                 fusion::plan(
                     &FactorPipeline::new(vec![0.0; nlayers], a_sizes.clone()).expect("valid"),
                     &cfg.comm_model,
-                    FusionStrategy::LayerWise,
+                    FusionStrategy::Naive,
                 )
             });
             let t0 = Instant::now();
@@ -737,7 +741,7 @@ fn train_segment(
                 fusion::plan(
                     &FactorPipeline::new(vec![0.0; nlayers], rev_sizes).expect("valid"),
                     &cfg.comm_model,
-                    FusionStrategy::LayerWise,
+                    FusionStrategy::Naive,
                 )
             });
             Some((

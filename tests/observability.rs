@@ -21,29 +21,16 @@ fn run_with_recorder(
     algorithm: Algorithm,
     iters: usize,
 ) -> (Arc<Recorder>, IterationBreakdown, f64) {
-    run_mlp(world, algorithm, iters, 24, 8, 4)
-}
-
-/// A recorded run of `deep_mlp(8, hidden, depth, 3)` at `batch` samples
-/// per rank and step, two steps of data per rank.
-fn run_mlp(
-    world: usize,
-    algorithm: Algorithm,
-    iters: usize,
-    hidden: usize,
-    depth: usize,
-    batch: usize,
-) -> (Arc<Recorder>, IterationBreakdown, f64) {
     let rec = Arc::new(Recorder::new(2 * world));
     let mut cfg = DistributedConfig::new(world, algorithm);
     cfg.kfac.damping = 0.1;
     cfg.kfac.lr = 0.05;
     cfg.kfac.momentum = 0.0;
-    let data = gaussian_blobs(3, 8, 2 * batch * world, 0.3, 42);
+    let data = gaussian_blobs(3, 8, 8 * world, 0.3, 42);
     let t = Instant::now();
     let _ = TrainSession::builder(cfg)
         .recorder(Arc::clone(&rec))
-        .run(&|| deep_mlp(8, hidden, depth, 3, 5), &data, iters, batch)
+        .run(&|| deep_mlp(8, 24, 8, 3, 5), &data, iters, 4)
         .expect("local run");
     let wall = t.elapsed().as_secs_f64();
     let b = IterationBreakdown::from_recorder(&rec, world);
@@ -80,16 +67,15 @@ fn spd_hides_factor_comm_better_than_dkfac() {
     // one bulk message after backward (fully exposed), SPD-KFAC pipelines
     // per-bucket all-reduces behind FF&BP — so the non-overlapped factor
     // communication share must be lower under SPD-KFAC on the same model.
-    // The model has enough backward compute to pipeline behind, and one
-    // wall-clock sample per algorithm is at the mercy of the scheduler, so
-    // the claim is made on the median of interleaved runs.
+    // One wall-clock sample per algorithm is at the mercy of the
+    // scheduler, so the claim is made on the median of interleaved runs.
     let world = 4;
     let share = |algorithm| {
-        let (_, b, _) = run_mlp(world, algorithm, 4, 128, 4, 16);
+        let (_, b, _) = run_with_recorder(world, algorithm, 10);
         b.factor_comm / b.total()
     };
     let (mut d, mut s) = (Vec::new(), Vec::new());
-    for _ in 0..5 {
+    for _ in 0..15 {
         d.push(share(Algorithm::DKfac));
         s.push(share(Algorithm::SpdKfac));
     }
