@@ -1,17 +1,23 @@
 //! Multi-worker trainers over real in-process collectives: S-SGD, D-KFAC,
-//! MPD-KFAC and SPD-KFAC.
+//! MPD-KFAC, SPD-KFAC and distributed EKFAC.
 //!
-//! All three K-FAC variants execute the *same* mathematics (Eq. 13); they
-//! differ only in **how Kronecker factors are communicated** and **where the
-//! inverses are computed**:
+//! The K-FAC variants execute the *same* mathematics (Eq. 13); they differ
+//! only in **how Kronecker factors are communicated**, **where the per-tensor
+//! operation (an inverse, or an eigendecomposition for EKFAC) runs**, and
+//! **which preconditioner consumes it**. Each [`Algorithm`] is therefore a
+//! [`Schedule`] value, and [`Algorithm::schedule`] is the one table that
+//! maps an algorithm to its behaviour. The trainer below and the simulator
+//! (`spdkfac_sim::schedule`) both read it:
 //!
-//! | Variant  | factor communication | inverse placement |
-//! |----------|----------------------|-------------------|
-//! | D-KFAC   | one bulk all-reduce after backward | every GPU inverts everything ([`PlacementStrategy::NonDist`]) |
-//! | MPD-KFAC | one bulk all-reduce after backward | round-robin, broadcast results ([`PlacementStrategy::SeqDist`]) |
-//! | SPD-KFAC | pipelined per-bucket all-reduces during forward/backward with dynamic tensor fusion (Eq. 15) | Algorithm 1 (LBP) with CT/NCT classification |
+//! | Algorithm | factor communication ([`FactorComm`]) | placement ([`PlacementStrategy`]) | preconditioner ([`Preconditioner`]) |
+//! |-----------|----------------------|-------------------|----------------|
+//! | S-SGD     | `Bulk` (no factors to send) | `NonDist` (nothing to invert) | `None`: averaged gradients only |
+//! | D-KFAC    | `Bulk`: one `A‖G` all-reduce after the last gradient bucket | `NonDist`: every GPU inverts everything | `Kfac` |
+//! | MPD-KFAC  | `Bulk` | `SeqDist`: round-robin, results broadcast | `Kfac` |
+//! | SPD-KFAC  | `Pipelined(Optimal)`: per-bucket all-reduces during forward/backward with dynamic tensor fusion (Eq. 15) | `Lbp`: Algorithm 1 with CT/NCT classification | `Kfac` |
+//! | EKFAC-SPD | `Pipelined(Optimal)` | `Lbp` | `Ekfac`: eigenbases broadcast as `Q‖λ` |
 //!
-//! Consequently the parameter trajectories of the three variants agree to
+//! Consequently the parameter trajectories of the K-FAC variants agree to
 //! floating-point reordering noise — asserted by the integration tests —
 //! which is the paper's premise for comparing them on wall-clock time only
 //! (§VI: *"our proposed algorithms are systemic optimizations without
@@ -21,10 +27,10 @@ use crate::calibrate::Calibrator;
 use crate::ekfac::precondition_ekfac;
 use crate::elastic::{ElasticPolicy, FactorCheckpoint, MembershipSpan, TrainCheckpoint};
 use crate::factors::{local_factor_a, local_factor_g, FactorState};
-use crate::fusion::{self, FactorPipeline, FusionStrategy};
+use crate::fusion::{self, FactorPipeline, FusionController, FusionStrategy};
 use crate::optimizer::KfacConfig;
 use crate::perf::{AlphaBetaModel, ExpInverseModel};
-use crate::placement::{self, PlacementStrategy, TensorAssignment};
+use crate::placement::{self, LbpWeight, PlacementStrategy, TensorAssignment};
 use crate::precond::{apply_kl_clip, build_directions};
 use crate::runtime::{self, ReplanController, ReplanPolicy};
 use spdkfac_collectives::{
@@ -41,7 +47,7 @@ use spdkfac_tensor::{chol, Matrix, SymPacked};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// An in-flight fused factor all-reduce: the `(layer, side)` tensors it
+/// An in-flight fused factor all-reduce: the `(state, side)` factors it
 /// carries, their packed lengths, and the async handle to wait on.
 type PendingFactors = (Vec<(usize, Side)>, Vec<usize>, PendingOp);
 
@@ -65,21 +71,82 @@ pub enum Algorithm {
     EkfacSpd,
 }
 
+/// How Kronecker factors travel between workers (§IV-A).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FactorComm {
+    /// Every factor in one all-reduce — the `A` block in forward order,
+    /// then the `G` block in backward order — issued after the last
+    /// gradient bucket (Pauloski et al.'s baseline, arXiv 2007.00784).
+    Bulk,
+    /// Per-bucket all-reduces issued from the forward/backward hooks as the
+    /// buckets of a fusion plan under this strategy fill.
+    Pipelined(FusionStrategy),
+}
+
+/// The second-order preconditioner an algorithm applies, which fixes the
+/// per-tensor operation the placement distributes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Preconditioner {
+    /// First-order: no factors, no per-tensor operation.
+    None,
+    /// K-FAC: damped Cholesky inverses, broadcast as packed `d(d+1)/2`
+    /// triangles.
+    Kfac,
+    /// EKFAC: eigendecompositions, broadcast as `Q‖λ` (`d² + d` values).
+    Ekfac,
+}
+
+/// An algorithm as data: the three ways the variants differ.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Schedule {
+    /// How the Kronecker factors are all-reduced.
+    pub factor_comm: FactorComm,
+    /// Where each per-tensor operation runs.
+    pub placement: PlacementStrategy,
+    /// What consumes the factors.
+    pub preconditioner: Preconditioner,
+}
+
+impl Algorithm {
+    /// The schedule table (rendered in the module docs): the only code that
+    /// maps an algorithm to factor communication, placement and
+    /// preconditioner.
+    pub const fn schedule(self) -> Schedule {
+        use FactorComm::{Bulk, Pipelined};
+        use PlacementStrategy::{NonDist, SeqDist};
+        const LBP: PlacementStrategy = PlacementStrategy::Lbp {
+            weight: LbpWeight::DimSquared,
+        };
+        const OPTIMAL: FactorComm = Pipelined(FusionStrategy::Optimal);
+        let (factor_comm, placement, preconditioner) = match self {
+            Algorithm::SSgd => (Bulk, NonDist, Preconditioner::None),
+            Algorithm::DKfac => (Bulk, NonDist, Preconditioner::Kfac),
+            Algorithm::MpdKfac => (Bulk, SeqDist, Preconditioner::Kfac),
+            Algorithm::SpdKfac => (OPTIMAL, LBP, Preconditioner::Kfac),
+            Algorithm::EkfacSpd => (OPTIMAL, LBP, Preconditioner::Ekfac),
+        };
+        Schedule {
+            factor_comm,
+            placement,
+            preconditioner,
+        }
+    }
+}
+
 /// Configuration of a distributed run.
 #[derive(Debug, Clone)]
 pub struct DistributedConfig {
     /// Number of worker ranks.
     pub world: usize,
-    /// Training algorithm.
+    /// Training algorithm; its [`Schedule`] row decides factor
+    /// communication, placement and preconditioner.
     pub algorithm: Algorithm,
     /// K-FAC hyper-parameters (ignored by [`Algorithm::SSgd`] except lr /
     /// momentum / weight decay).
     pub kfac: KfacConfig,
-    /// Fusion strategy for SPD-KFAC's factor pipeline.
+    /// Fusion strategy of a pipelined schedule's factor plans (bulk
+    /// schedules ignore it). Defaults to the table's `Optimal`.
     pub fusion: FusionStrategy,
-    /// Inverse placement strategy override. Defaults depend on the
-    /// algorithm (NonDist / SeqDist / LBP); set explicitly for ablations.
-    pub placement: Option<PlacementStrategy>,
     /// Inversion-cost model used by LBP's NCT test.
     pub comp_model: ExpInverseModel,
     /// Broadcast-cost model used by LBP's NCT test.
@@ -93,9 +160,9 @@ pub struct DistributedConfig {
     /// coefficients are agreement-all-reduced, and placement + fusion plans
     /// are deterministically recomputed from the agreed models; a changed
     /// plan is swapped in atomically with a generation bump. Calibration
-    /// samples come off the recorder, so under [`train`] (no recorder) a
-    /// due barrier still synchronizes but re-plans from the baseline models
-    /// — a fixed point.
+    /// samples come off the recorder, so without
+    /// [`TrainSession::recorder`] a due barrier still synchronizes but
+    /// re-plans from the baseline models — a fixed point.
     pub replan: ReplanPolicy,
     /// Per-op-kind wire encoding for the collectives (see
     /// [`spdkfac_collectives::wire`]). Defaults to the bit-exact f64
@@ -116,7 +183,6 @@ impl DistributedConfig {
             algorithm,
             kfac: KfacConfig::default(),
             fusion: FusionStrategy::Optimal,
-            placement: None,
             // Arbitrary-but-plausible CPU-scale models; placement
             // correctness does not depend on the constants.
             comp_model: ExpInverseModel::new(5e-5, 2e-3),
@@ -127,12 +193,14 @@ impl DistributedConfig {
         }
     }
 
-    fn effective_placement(&self) -> PlacementStrategy {
-        self.placement.unwrap_or(match self.algorithm {
-            Algorithm::SSgd | Algorithm::DKfac => PlacementStrategy::NonDist,
-            Algorithm::MpdKfac => PlacementStrategy::SeqDist,
-            Algorithm::SpdKfac | Algorithm::EkfacSpd => PlacementStrategy::default(),
-        })
+    /// The schedule this run executes: the algorithm's row, with
+    /// [`DistributedConfig::fusion`] as a pipelined row's strategy.
+    fn schedule(&self) -> Schedule {
+        let mut schedule = self.algorithm.schedule();
+        if let FactorComm::Pipelined(strategy) = &mut schedule.factor_comm {
+            *strategy = self.fusion;
+        }
+        schedule
     }
 }
 
@@ -180,12 +248,10 @@ pub struct RunResult {
 /// Modes (chosen by which builder methods were called):
 ///
 /// - **Local** (default): spawns `config.world` worker threads over the
-///   in-process backend — the replacement for the deprecated [`train`] /
-///   [`train_with_recorder`].
+///   in-process backend.
 /// - **Endpoint** ([`TrainSession::endpoint`]): runs this process as one
-///   rank of an already-connected group — the replacement for the
-///   deprecated [`train_worker`]. Peer failures surface as `Err` instead
-///   of a panic.
+///   rank of an already-connected group. Peer failures surface as `Err`
+///   instead of a panic.
 /// - **Elastic** ([`TrainSession::elastic`]): joins an
 ///   [`spdkfac_collectives::ElasticRendezvous`] and survives membership
 ///   changes — rank death shrinks the world at the next barrier, joiners
@@ -302,43 +368,6 @@ impl TrainSession {
     }
 }
 
-/// Trains `iters` iterations of `cfg.algorithm` on `dataset` with one model
-/// replica per rank (built by `build`, which must be deterministic so all
-/// replicas start identical) and `batch` samples per rank per iteration.
-///
-/// # Panics
-///
-/// Panics if any rank's data shard is smaller than `batch`, or if a damped
-/// factor fails to invert (raise `cfg.kfac.damping`).
-#[deprecated(note = "use TrainSession::builder(cfg).run(...)")]
-pub fn train(
-    cfg: &DistributedConfig,
-    build: &(dyn Fn() -> Sequential + Sync),
-    dataset: &Dataset,
-    iters: usize,
-    batch: usize,
-) -> RunResult {
-    local_train_impl(cfg, build, dataset, iters, batch, None)
-}
-
-/// [`train`], instrumented: every worker records phase-tagged spans and
-/// metrics into `rec` (see [`TrainSession::recorder`] for the layout).
-///
-/// # Panics
-///
-/// As [`train`].
-#[deprecated(note = "use TrainSession::builder(cfg).recorder(rec).run(...)")]
-pub fn train_with_recorder(
-    cfg: &DistributedConfig,
-    build: &(dyn Fn() -> Sequential + Sync),
-    dataset: &Dataset,
-    iters: usize,
-    batch: usize,
-    rec: &Arc<Recorder>,
-) -> RunResult {
-    local_train_impl(cfg, build, dataset, iters, batch, Some(rec))
-}
-
 fn local_train_impl(
     cfg: &DistributedConfig,
     build: &(dyn Fn() -> Sequential + Sync),
@@ -376,12 +405,191 @@ fn local_train_impl(
     result.expect("rank 0 result missing")
 }
 
-/// Per-factor bookkeeping for the SPD pipeline: which state and side a
-/// pipeline position refers to.
+/// Which Kronecker factor of a layer: `A` (input side, captured in forward)
+/// or `G` (output-gradient side, captured in backward). Also the index of
+/// the pass that captures it.
 #[derive(Debug, Clone, Copy)]
 enum Side {
     A,
     G,
+}
+
+impl Side {
+    /// Placement tensors interleave the layers' factors: `A_l` is tensor
+    /// `2l`, `G_l` is tensor `2l + 1`.
+    fn of_tensor(t: usize) -> Side {
+        if t.is_multiple_of(2) {
+            Side::A
+        } else {
+            Side::G
+        }
+    }
+}
+
+/// One iteration's Kronecker factors on their way to the all-reduce: the
+/// factor pass of §IV-A, written once for `A` (offered from the forward
+/// hooks) and `G` (from the backward hooks). Each factor is offered to its
+/// pass's fusion controller, and a filled bucket leaves at once as one fused
+/// message. A bulk schedule has no controllers: the flow holds every factor
+/// until [`FactorFlow::finish`], which the trainer calls after the last
+/// gradient bucket, and sends them as one `A‖G` message.
+struct FactorFlow<'a> {
+    comm: &'a WorkerComm,
+    obs: &'a WorkerObs,
+    /// Fusion controllers of the `A` and `G` passes; `None` under bulk.
+    ctls: Option<[FusionController; 2]>,
+    /// Factors offered but not yet sent, with their `(state, side)`.
+    held: Vec<SymPacked>,
+    members: Vec<(usize, Side)>,
+    /// Per pass, each factor's ready time since the pass began: the
+    /// measured pipelines the fusion plans are agreed on.
+    ready: [Vec<f64>; 2],
+    pass_start: Instant,
+    pending: Vec<PendingFactors>,
+}
+
+impl<'a> FactorFlow<'a> {
+    fn new(
+        comm: &'a WorkerComm,
+        obs: &'a WorkerObs,
+        ctls: Option<[FusionController; 2]>,
+        nlayers: usize,
+    ) -> Self {
+        FactorFlow {
+            comm,
+            obs,
+            ctls,
+            held: Vec::new(),
+            members: Vec::new(),
+            ready: [Vec::with_capacity(nlayers), Vec::with_capacity(nlayers)],
+            pass_start: Instant::now(),
+            pending: Vec::new(),
+        }
+    }
+
+    /// Starts a pass: ready times are measured from here.
+    fn start_pass(&mut self) {
+        self.pass_start = Instant::now();
+    }
+
+    /// Computes state `si`'s `side` factor and offers it to the pass.
+    fn offer(&mut self, side: Side, si: usize, factor: impl FnOnce() -> Matrix) {
+        let pass = side as usize;
+        let pos = self.ready[pass].len();
+        self.ready[pass].push(self.pass_start.elapsed().as_secs_f64());
+        let packed = {
+            let _fc = self.obs.span(Phase::FactorComp);
+            SymPacked::from_matrix(&factor())
+        };
+        self.held.push(packed);
+        self.members.push((si, side));
+        let filled = self
+            .ctls
+            .as_mut()
+            .is_some_and(|ctls| ctls[pass].offer(pos).is_some());
+        if filled {
+            self.send(Some(match side {
+                Side::A => "a",
+                Side::G => "g",
+            }));
+        }
+    }
+
+    /// Sends the held factors as one fused all-reduce; a pipelined flush
+    /// names its pass for the realized-flush metrics.
+    fn send(&mut self, pass: Option<&str>) {
+        let sizes: Vec<usize> = self.held.iter().map(SymPacked::len).collect();
+        let concat: Vec<f64> = self.held.drain(..).flat_map(SymPacked::into_vec).collect();
+        if let Some(pass) = pass.filter(|_| self.comm.rank() == 0) {
+            self.obs.record_flush(pass, concat.len());
+        }
+        self.comm.set_phase(Phase::FactorComm);
+        self.pending.push((
+            std::mem::take(&mut self.members),
+            sizes,
+            self.comm.allreduce_avg_async(concat),
+        ));
+    }
+
+    /// Sends whatever a bulk schedule held and hands over every in-flight
+    /// factor all-reduce of the iteration.
+    fn finish(&mut self) -> Vec<PendingFactors> {
+        if let Some(ctls) = &self.ctls {
+            assert!(
+                ctls.iter().all(FusionController::is_drained),
+                "unflushed factor bucket"
+            );
+        }
+        if !self.held.is_empty() {
+            self.send(None);
+        }
+        std::mem::take(&mut self.pending)
+    }
+}
+
+impl Preconditioner {
+    /// Elements one tensor's result occupies in its broadcast.
+    fn wire_len(self, d: usize) -> usize {
+        match self {
+            Preconditioner::None => 0,
+            Preconditioner::Kfac => d * (d + 1) / 2,
+            Preconditioner::Ekfac => d * d + d,
+        }
+    }
+
+    /// The per-tensor operation on one factor of `st`, flattened for its
+    /// broadcast: the packed damped inverse (K-FAC) or `Q‖λ` (EKFAC).
+    fn compute(self, st: &FactorState, side: Side, damping: f64) -> Result<Vec<f64>, String> {
+        match self {
+            Preconditioner::None => unreachable!("first-order schedules have no per-tensor work"),
+            Preconditioner::Kfac => {
+                let damped = match side {
+                    Side::A => st.damped_a(damping),
+                    Side::G => st.damped_g(damping),
+                };
+                let inv =
+                    chol::spd_inverse(&damped).map_err(|e| format!("inversion failed: {e}"))?;
+                Ok(SymPacked::from_matrix(&inv).into_vec())
+            }
+            Preconditioner::Ekfac => {
+                let factor = match side {
+                    Side::A => st.factor_a(),
+                    Side::G => st.factor_g(),
+                }
+                .expect("no factor statistics");
+                let e = sym_eig(factor).map_err(|e| format!("eigendecomposition failed: {e}"))?;
+                let mut out = e.vectors.into_vec();
+                out.extend_from_slice(&e.values);
+                Ok(out)
+            }
+        }
+    }
+
+    /// Installs tensor `t`'s result (`d`-dimensional, as [`Self::compute`]
+    /// laid it out) into the trainer state.
+    fn install(
+        self,
+        t: usize,
+        d: usize,
+        mut data: Vec<f64>,
+        states: &mut [FactorState],
+        bases: &mut [Option<(Matrix, Vec<f64>)>],
+    ) {
+        let st = &mut states[t / 2];
+        match (self, Side::of_tensor(t)) {
+            (Preconditioner::None, _) => unreachable!("first-order schedules install nothing"),
+            (Preconditioner::Kfac, Side::A) => {
+                st.set_a_inv(SymPacked::from_vec(d, data).to_matrix())
+            }
+            (Preconditioner::Kfac, Side::G) => {
+                st.set_g_inv(SymPacked::from_vec(d, data).to_matrix())
+            }
+            (Preconditioner::Ekfac, _) => {
+                let values = data.split_off(d * d);
+                bases[t] = Some((Matrix::from_vec(d, d, data), values));
+            }
+        }
+    }
 }
 
 /// Per-worker span handle: phase spans on the worker's compute track
@@ -395,12 +603,6 @@ impl WorkerObs {
     /// Opens a phase span on this worker's compute track; recorded on drop.
     fn span(&self, phase: Phase) -> Option<SpanGuard<'_>> {
         self.rec.as_deref().map(|r| r.span(self.track, phase))
-    }
-
-    /// As [`WorkerObs::span`], carrying a payload size in the span metadata
-    /// (tensor dimension for inversions) for online calibration.
-    fn sized_span(&self, phase: Phase, size: usize) -> Option<SpanGuard<'_>> {
-        self.span(phase).map(|g| g.sized(size))
     }
 
     /// As [`WorkerObs::span`], with a display label. The per-iteration
@@ -425,29 +627,6 @@ impl WorkerObs {
                 .add(elems as u64);
         }
     }
-}
-
-/// Runs one rank's full training loop over an already-connected communicator
-/// endpoint — the backend-agnostic entry point beneath the local trainer.
-///
-/// # Panics
-///
-/// Panics on any communication failure (the historical behavior). The
-/// replacement — `TrainSession::builder(cfg).endpoint(comm)` — surfaces
-/// those as `Err` instead.
-#[deprecated(note = "use TrainSession::builder(cfg).endpoint(comm).run(...)")]
-pub fn train_worker(
-    cfg: &DistributedConfig,
-    build: &(dyn Fn() -> Sequential + Sync),
-    dataset: &Dataset,
-    iters: usize,
-    batch: usize,
-    comm: WorkerComm,
-    rec: Option<Arc<Recorder>>,
-) -> RunResult {
-    let rank = comm.rank();
-    worker_impl(cfg, build, dataset, iters, batch, comm, rec)
-        .unwrap_or_else(|e| panic!("rank {rank}: {e}"))
 }
 
 /// One rank over an already-connected endpoint: fresh state, one segment.
@@ -602,6 +781,13 @@ fn train_segment(
         "rank {rank}: shard of {} samples cannot supply batches of {batch}",
         shard.len()
     );
+    let schedule = cfg.schedule();
+    let fusion_strategy = match schedule.factor_comm {
+        FactorComm::Bulk => None,
+        FactorComm::Pipelined(strategy) => Some(strategy),
+    };
+    let precond = schedule.preconditioner;
+    let capture = precond != Preconditioner::None;
 
     // Preconditionable-layer bookkeeping. The factor states live in `ws`
     // (they survive segments); only the index map is rebuilt here.
@@ -613,20 +799,19 @@ fn train_segment(
         state_of_layer[li] = Some(si);
         assert_eq!(states[si].layer(), li, "factor state layer mismatch");
     }
+    let state_of = |li: usize| state_of_layer[li].expect("factor from a layer without K-FAC state");
     let dims = net.kfac_dims(); // (a_dim, g_dim) per state
-    let a_sizes: Vec<usize> = dims.iter().map(|&(a, _)| a * (a + 1) / 2).collect();
-    let g_sizes: Vec<usize> = dims.iter().map(|&(_, g)| g * (g + 1) / 2).collect();
 
-    // Inverse placement over the 2L tensors (A_l, G_l interleaved). The
-    // generation-0 plan goes into the epoch-versioned store; re-plan
-    // barriers may swap it later (see `crate::runtime`).
+    // Placement of the per-tensor operation over the 2L tensors (A_l, G_l
+    // interleaved). The generation-0 plan goes into the epoch-versioned
+    // store; re-plan barriers may swap it later (see `crate::runtime`).
     let inv_dims: Vec<usize> = dims.iter().flat_map(|&(a, g)| [a, g]).collect();
     let inv_placement = placement::place(
         &inv_dims,
         world,
         &cfg.comp_model,
         &cfg.comm_model,
-        cfg.effective_placement(),
+        schedule.placement,
     );
     // Publish the load balancer's verdict once (rank 0): CT/NCT counts and
     // the modelled per-GPU load it balanced (Eq. 21).
@@ -671,120 +856,54 @@ fn train_segment(
         let flight_iter_start = flight.now();
         let start = (iter * batch) % (shard.len() - batch + 1);
         let (x, y) = shard.batch(start, batch);
-        let capture = cfg.algorithm != Algorithm::SSgd;
 
-        // ---------- Forward (+ pipelined A-factor aggregation for SPD) ----
-        let mut a_ready = vec![0.0f64; nlayers];
-        let mut pending: Vec<PendingFactors> = Vec::new();
-        let pipelined = matches!(cfg.algorithm, Algorithm::SpdKfac | Algorithm::EkfacSpd);
-        // Collectives submitted during the forward pass are the pipelined
-        // A-factor all-reduces.
+        // ---------- Forward, with the A-factor pass -----------------------
+        // Until the first iteration's ready times are agreed, nothing is
+        // known to hide a message behind: each pipelined pass goes out as
+        // one message (Naive), not one startup per factor that a short pass
+        // would leave fully exposed.
+        let ctls = fusion_strategy.map(|_| {
+            let plans = store.current();
+            [&plans.a_fusion, &plans.g_fusion].map(|plan| {
+                FusionController::new(plan.clone().unwrap_or_else(|| {
+                    fusion::plan(
+                        &FactorPipeline::new(vec![0.0; nlayers], vec![0; nlayers]).expect("valid"),
+                        &cfg.comm_model,
+                        FusionStrategy::Naive,
+                    )
+                }))
+            })
+        });
+        let mut flow = FactorFlow::new(comm, obs, ctls, nlayers);
         comm.set_phase(Phase::FactorComm);
         let forward_span = obs.span(Phase::FfBp);
-        let out = if pipelined {
-            // Until the first iteration's ready times are agreed, nothing is
-            // known to hide a message behind: each pass goes out as one
-            // message (Naive), not one startup per factor that a short pass
-            // would leave fully exposed.
-            let plan = store.current().a_fusion.clone().unwrap_or_else(|| {
-                fusion::plan(
-                    &FactorPipeline::new(vec![0.0; nlayers], a_sizes.clone()).expect("valid"),
-                    &cfg.comm_model,
-                    FusionStrategy::Naive,
-                )
-            });
-            let t0 = Instant::now();
-            let mut pos = 0usize;
-            let mut ctl = fusion::FusionController::new(plan);
-            let mut buf: Vec<SymPacked> = Vec::new();
-            let out = net.forward_each(&x, capture, |_, layer| {
-                if let Some(a_rows) = layer.take_a_stat() {
-                    a_ready[pos] = t0.elapsed().as_secs_f64();
-                    let factor = {
-                        let _fc = obs.span(Phase::FactorComp);
-                        SymPacked::from_matrix(&local_factor_a(&a_rows))
-                    };
-                    buf.push(factor);
-                    if let Some(positions) = ctl.offer(pos) {
-                        let members: Vec<(usize, Side)> =
-                            positions.iter().map(|&p| (p, Side::A)).collect();
-                        let sizes: Vec<usize> = buf.iter().map(|s| s.len()).collect();
-                        let concat: Vec<f64> =
-                            buf.drain(..).flat_map(SymPacked::into_vec).collect();
-                        if rank == 0 {
-                            obs.record_flush("a", concat.len());
-                        }
-                        pending.push((members, sizes, comm.allreduce_avg_async(concat)));
-                    }
-                    pos += 1;
-                }
-            });
-            assert!(ctl.is_drained(), "unflushed A-factor bucket");
-            out
-        } else {
-            net.forward(&x, capture)
-        };
+        flow.start_pass();
+        let out = net.forward_each(&x, capture, |li, layer| {
+            if let Some(a_rows) = layer.take_a_stat() {
+                flow.offer(Side::A, state_of(li), || local_factor_a(&a_rows));
+            }
+        });
         drop(forward_span);
 
         // ---------- Loss ------------------------------------------------
         let (local_loss, grad) = softmax_cross_entropy(&out, &y);
 
-        // ---------- Backward: WFBP gradient aggregation (all algorithms)
-        // and pipelined G-factor aggregation (SPD). Gradients of each layer
-        // become ready as its backward runs; they join a fusion buffer and
-        // are all-reduced asynchronously once `grad_fusion_elems` is reached
-        // — the wait-free back-propagation of §II-A.
-        let mut g_ready = vec![0.0f64; nlayers];
-        let mut spd_g = if pipelined {
-            let plan = store.current().g_fusion.clone().unwrap_or_else(|| {
-                let rev_sizes: Vec<usize> = g_sizes.iter().rev().copied().collect();
-                fusion::plan(
-                    &FactorPipeline::new(vec![0.0; nlayers], rev_sizes).expect("valid"),
-                    &cfg.comm_model,
-                    FusionStrategy::Naive,
-                )
-            });
-            Some((
-                fusion::FusionController::new(plan),
-                Vec::<SymPacked>::new(),
-                0usize,
-            ))
-        } else {
-            None
-        };
+        // ---------- Backward, with the G-factor pass and WFBP -------------
+        // Gradients of each layer become ready as its backward runs; they
+        // join a fusion buffer and are all-reduced asynchronously once
+        // `grad_fusion_elems` is reached — the wait-free back-propagation of
+        // §II-A.
         // In-flight gradient buckets: (segments = (layer, param, len), handle).
         type GradSegment = (usize, usize, usize);
         let mut grad_pending: Vec<(Vec<GradSegment>, PendingOp)> = Vec::new();
         let mut grad_buf: Vec<f64> = Vec::new();
         let mut grad_segments: Vec<GradSegment> = Vec::new();
-        let t0 = Instant::now();
+        flow.start_pass();
         let backward_span = obs.span(Phase::FfBp);
         net.backward_each(&grad, |li, layer| {
-            // (a) SPD: G-factor capture + fused async all-reduce.
-            if let Some((ctl, buf, pos)) = spd_g.as_mut() {
-                if let Some((g_rows, n)) = layer.take_g_stat() {
-                    g_ready[*pos] = t0.elapsed().as_secs_f64();
-                    let factor = {
-                        let _fc = obs.span(Phase::FactorComp);
-                        SymPacked::from_matrix(&local_factor_g(&g_rows, n))
-                    };
-                    buf.push(factor);
-                    if let Some(positions) = ctl.offer(*pos) {
-                        let members: Vec<(usize, Side)> =
-                            positions.iter().map(|&p| (p, Side::G)).collect();
-                        let sizes: Vec<usize> = buf.iter().map(|s| s.len()).collect();
-                        let concat: Vec<f64> =
-                            buf.drain(..).flat_map(SymPacked::into_vec).collect();
-                        if rank == 0 {
-                            obs.record_flush("g", concat.len());
-                        }
-                        comm.set_phase(Phase::FactorComm);
-                        pending.push((members, sizes, comm.allreduce_avg_async(concat)));
-                    }
-                    *pos += 1;
-                }
+            if let Some((g_rows, n)) = layer.take_g_stat() {
+                flow.offer(Side::G, state_of(li), || local_factor_g(&g_rows, n));
             }
-            // (b) WFBP: this layer's gradients join the fusion buffer.
             for (pi, p) in layer.params().iter().enumerate() {
                 grad_segments.push((li, pi, p.grad.as_slice().len()));
                 grad_buf.extend_from_slice(p.grad.as_slice());
@@ -798,9 +917,6 @@ fn train_segment(
             }
         });
         drop(backward_span);
-        if let Some((ctl, _, _)) = &spd_g {
-            assert!(ctl.is_drained(), "unflushed G-factor bucket");
-        }
         if !grad_buf.is_empty() {
             comm.set_phase(Phase::GradComm);
             grad_pending.push((
@@ -808,29 +924,9 @@ fn train_segment(
                 comm.allreduce_avg_async(std::mem::take(&mut grad_buf)),
             ));
         }
-
-        // ---------- Factor aggregation (bulk path for D/MPD) --------------
-        if matches!(cfg.algorithm, Algorithm::DKfac | Algorithm::MpdKfac) {
-            let fc = obs.span(Phase::FactorComp);
-            let caps = net.take_captures();
-            let mut concat = Vec::new();
-            let mut members = Vec::new();
-            let mut sizes = Vec::new();
-            for (li, cap) in &caps {
-                let si = state_of_layer[*li].expect("capture from unknown layer");
-                let a = SymPacked::from_matrix(&cap.factor_a());
-                let g = SymPacked::from_matrix(&cap.factor_g());
-                members.push((si, Side::A));
-                sizes.push(a.len());
-                concat.extend_from_slice(a.as_slice());
-                members.push((si, Side::G));
-                sizes.push(g.len());
-                concat.extend_from_slice(g.as_slice());
-            }
-            drop(fc);
-            comm.set_phase(Phase::FactorComm);
-            pending.push((members, sizes, comm.allreduce_avg_async(concat)));
-        }
+        // A bulk schedule's A‖G message leaves here, after the last
+        // gradient bucket.
+        let factor_pending = flow.finish();
 
         // ---------- Install averaged gradients ---------------------------
         for (segments, handle) in grad_pending.drain(..) {
@@ -847,158 +943,69 @@ fn train_segment(
         }
 
         // ---------- Install averaged factors ------------------------------
-        if capture {
-            if pipelined {
-                // The pipelined path consumed the per-layer stats during the
-                // passes; drain any leftover capture state.
-                let _ = net.take_captures();
-            }
-            for (members, sizes, handle) in pending.drain(..) {
-                let data = handle.wait()?.data;
-                let mut off = 0usize;
-                for ((pos_or_state, side), sz) in members.into_iter().zip(sizes) {
-                    let packed_slice = &data[off..off + sz];
-                    off += sz;
-                    let (si, dim) = match side {
-                        // SPD A-pass positions run front-to-back; G-pass
-                        // positions run back-to-front. Bulk-path members
-                        // already carry state indices.
-                        Side::A => {
-                            let si = pos_or_state;
-                            (si, dims[si].0)
-                        }
-                        Side::G => {
-                            let si = if pipelined {
-                                nlayers - 1 - pos_or_state
-                            } else {
-                                pos_or_state
-                            };
-                            (si, dims[si].1)
-                        }
-                    };
-                    let packed = SymPacked::from_vec(dim, packed_slice.to_vec());
-                    match side {
-                        Side::A => states[si].update_a(packed.to_matrix(), cfg.kfac.stat_decay),
-                        Side::G => states[si].update_g(packed.to_matrix(), cfg.kfac.stat_decay),
-                    }
+        for (members, sizes, handle) in factor_pending {
+            let data = handle.wait()?.data;
+            let mut off = 0usize;
+            for ((si, side), sz) in members.into_iter().zip(sizes) {
+                let packed = data[off..off + sz].to_vec();
+                off += sz;
+                let (a, g) = dims[si];
+                match side {
+                    Side::A => states[si].update_a(
+                        SymPacked::from_vec(a, packed).to_matrix(),
+                        cfg.kfac.stat_decay,
+                    ),
+                    Side::G => states[si].update_g(
+                        SymPacked::from_vec(g, packed).to_matrix(),
+                        cfg.kfac.stat_decay,
+                    ),
                 }
             }
+        }
 
-            // ---------- Distributed eigendecomposition (EKFAC extension) ---
-            if cfg.algorithm == Algorithm::EkfacSpd {
-                if iter % cfg.kfac.inv_update_freq.max(1) == 0 {
-                    let mine: Vec<usize> = store.current().placement.set_for_gpu(rank);
-                    let mut computed: Vec<Option<(Matrix, Vec<f64>)>> = vec![None; 2 * nlayers];
-                    for &t in &mine {
-                        // One sized span per tensor: the calibrator reads
-                        // (dimension, duration) pairs off these.
-                        let _inv = obs.sized_span(Phase::InverseComp, inv_dims[t]);
-                        let si = t / 2;
-                        let factor = if t % 2 == 0 {
-                            states[si].factor_a().expect("no A statistics").clone()
-                        } else {
-                            states[si].factor_g().expect("no G statistics").clone()
-                        };
-                        let e = sym_eig(&factor).unwrap_or_else(|err| {
-                            panic!("rank {rank}: eigendecomposition of tensor {t} failed: {err}")
-                        });
-                        computed[t] = Some((e.vectors, e.values));
-                    }
-                    // Broadcast Q‖λ for CT tensors (d² + d elements each).
-                    comm.set_phase(Phase::InverseComm);
-                    let mut bcasts: Vec<(usize, PendingOp)> = Vec::new();
-                    for t in 0..2 * nlayers {
-                        if let TensorAssignment::Gpu(owner) =
-                            store.current().placement.assignments()[t]
-                        {
-                            let d = inv_dims[t];
-                            let buf = match &computed[t] {
-                                Some((q, v)) => {
-                                    let mut b = q.as_slice().to_vec();
-                                    b.extend_from_slice(v);
-                                    b
-                                }
-                                None => vec![0.0; d * d + d],
-                            };
-                            bcasts.push((t, comm.broadcast_async(buf, owner)));
-                        }
-                    }
-                    for (t, h) in bcasts {
-                        let d = inv_dims[t];
-                        let data = h.wait()?.data;
-                        let q = Matrix::from_vec(d, d, data[..d * d].to_vec());
-                        let v = data[d * d..].to_vec();
-                        computed[t] = Some((q, v));
-                    }
-                    for t in 0..2 * nlayers {
-                        ekfac_bases[t] = Some(
-                            computed[t]
-                                .take()
-                                .expect("basis neither computed nor received"),
-                        );
-                    }
-                    // Reseed the eigenbasis scales from the eigenvalue
-                    // products (the K-FAC spectrum), to be moment-corrected
-                    // by the per-step EMA below.
-                    for si in 0..nlayers {
-                        let (_, va) = ekfac_bases[2 * si].as_ref().expect("A basis");
-                        let (_, vg) = ekfac_bases[2 * si + 1].as_ref().expect("G basis");
-                        ekfac_scales[si] = Some(Matrix::from_fn(vg.len(), va.len(), |i, j| {
-                            (vg[i] * va[j]).max(0.0)
-                        }));
-                    }
-                }
-            } else
-            // ---------- Distributed inversion per placement ---------------
-            if iter % cfg.kfac.inv_update_freq.max(1) == 0 {
-                // Compute this rank's assigned inverses (NCTs + own CTs).
-                let mine: Vec<usize> = store.current().placement.set_for_gpu(rank);
-                let mut computed: Vec<Option<SymPacked>> = vec![None; 2 * nlayers];
-                for &t in &mine {
-                    // One sized span per tensor: the calibrator reads
-                    // (dimension, duration) pairs off these.
-                    let _inv = obs.sized_span(Phase::InverseComp, inv_dims[t]);
-                    let si = t / 2;
-                    let damped = if t % 2 == 0 {
-                        states[si].damped_a(cfg.kfac.damping)
-                    } else {
-                        states[si].damped_g(cfg.kfac.damping)
-                    };
-                    let inv = chol::spd_inverse(&damped).unwrap_or_else(|e| {
-                        panic!("rank {rank}: inversion of tensor {t} failed: {e}")
-                    });
-                    computed[t] = Some(SymPacked::from_matrix(&inv));
-                }
-                // Broadcast CT results (everyone issues in tensor order).
-                comm.set_phase(Phase::InverseComm);
-                let mut bcasts: Vec<(usize, PendingOp)> = Vec::new();
-                for t in 0..2 * nlayers {
-                    if let TensorAssignment::Gpu(owner) = store.current().placement.assignments()[t]
-                    {
-                        let d = inv_dims[t];
-                        let buf = match &computed[t] {
-                            Some(p) => p.as_slice().to_vec(),
-                            None => vec![0.0; d * (d + 1) / 2],
-                        };
-                        bcasts.push((t, comm.broadcast_async(buf, owner)));
-                    }
-                }
-                for (t, h) in bcasts {
-                    let data = h.wait()?.data;
-                    computed[t] = Some(SymPacked::from_vec(inv_dims[t], data));
-                }
-                // Install all inverses.
-                for (t, slot) in computed.iter_mut().enumerate() {
-                    let si = t / 2;
-                    let inv = slot
+        // ---------- Per-tensor operation per placement ------------------
+        // Each rank computes its assigned tensors (NCTs + own CTs), the
+        // owners broadcast CT results (everyone issues in tensor order), and
+        // every rank installs all 2L results.
+        if capture && iter % cfg.kfac.inv_update_freq.max(1) == 0 {
+            let placement = &store.current().placement;
+            let mut results: Vec<Option<Vec<f64>>> = vec![None; 2 * nlayers];
+            for t in placement.set_for_gpu(rank) {
+                // One sized span per tensor: the calibrator reads
+                // (dimension, duration) pairs off these.
+                let _inv = obs.span(Phase::InverseComp).map(|g| g.sized(inv_dims[t]));
+                let result = precond
+                    .compute(&states[t / 2], Side::of_tensor(t), cfg.kfac.damping)
+                    .unwrap_or_else(|e| panic!("rank {rank}: tensor {t}: {e}"));
+                results[t] = Some(result);
+            }
+            comm.set_phase(Phase::InverseComm);
+            let mut bcasts: Vec<(usize, PendingOp)> = Vec::new();
+            for (t, assignment) in placement.assignments().iter().enumerate() {
+                if let TensorAssignment::Gpu(owner) = *assignment {
+                    let buf = results[t]
                         .take()
-                        .expect("inverse neither computed nor received")
-                        .to_matrix();
-                    if t % 2 == 0 {
-                        states[si].set_a_inv(inv);
-                    } else {
-                        states[si].set_g_inv(inv);
-                    }
+                        .unwrap_or_else(|| vec![0.0; precond.wire_len(inv_dims[t])]);
+                    bcasts.push((t, comm.broadcast_async(buf, owner)));
+                }
+            }
+            for (t, h) in bcasts {
+                results[t] = Some(h.wait()?.data);
+            }
+            for (t, result) in results.into_iter().enumerate() {
+                let data = result.expect("result neither computed nor received");
+                precond.install(t, inv_dims[t], data, states, ekfac_bases);
+            }
+            if precond == Preconditioner::Ekfac {
+                // Reseed the eigenbasis scales from the eigenvalue products
+                // (the K-FAC spectrum), to be moment-corrected by the
+                // per-step EMA below.
+                for si in 0..nlayers {
+                    let (_, va) = ekfac_bases[2 * si].as_ref().expect("A basis");
+                    let (_, vg) = ekfac_bases[2 * si + 1].as_ref().expect("G basis");
+                    ekfac_scales[si] = Some(Matrix::from_fn(vg.len(), va.len(), |i, j| {
+                        (vg[i] * va[j]).max(0.0)
+                    }));
                 }
             }
         }
@@ -1006,7 +1013,7 @@ fn train_segment(
         // ---------- Update -------------------------------------------------
         let update_span = obs.labeled_span(Phase::Update, format!("iter{iter}"));
         if capture {
-            let (mut directions, raw) = if cfg.algorithm == Algorithm::EkfacSpd {
+            let (mut directions, raw) = if precond == Preconditioner::Ekfac {
                 build_ekfac_directions(
                     net,
                     &state_of_layer,
@@ -1066,21 +1073,21 @@ fn train_segment(
             flight.now(),
         );
 
-        // ---------- Agree on SPD fusion plans after the first iteration ----
+        // ---------- Agree on fusion plans after the first iteration --------
         // "First" is per segment: fusion plans are derived from measured
         // ready-times under the *current* world size, so each membership
         // epoch re-agrees from its own first iteration.
-        if pipelined && iter == seg_start && nlayers > 0 {
-            let mut times: Vec<f64> = a_ready.iter().chain(g_ready.iter()).copied().collect();
+        if let Some(strategy) = fusion_strategy.filter(|_| iter == seg_start && nlayers > 0) {
+            let [a_ready, g_ready] = &flow.ready;
+            let mut times: Vec<f64> = a_ready.iter().chain(g_ready).copied().collect();
             allreduce_avg_checked(comm, &mut times)?;
             let (a_avg, g_avg) = times.split_at(nlayers);
-            let a_pipe =
-                FactorPipeline::new(monotonize(a_avg), a_sizes.clone()).expect("A pipeline valid");
-            let rev_g_sizes: Vec<usize> = g_sizes.iter().rev().copied().collect();
-            let g_pipe =
-                FactorPipeline::new(monotonize(g_avg), rev_g_sizes).expect("G pipeline valid");
-            let a = fusion::plan(&a_pipe, &cfg.comm_model, cfg.fusion);
-            let g = fusion::plan(&g_pipe, &cfg.comm_model, cfg.fusion);
+            let a_sizes: Vec<usize> = dims.iter().map(|&(a, _)| a * (a + 1) / 2).collect();
+            let g_sizes: Vec<usize> = dims.iter().rev().map(|&(_, g)| g * (g + 1) / 2).collect();
+            let a_pipe = FactorPipeline::new(monotonize(a_avg), a_sizes).expect("A pipeline valid");
+            let g_pipe = FactorPipeline::new(monotonize(g_avg), g_sizes).expect("G pipeline valid");
+            let a = fusion::plan(&a_pipe, &cfg.comm_model, strategy);
+            let g = fusion::plan(&g_pipe, &cfg.comm_model, strategy);
             // Publish the tensor-fusion verdict (Eq. 15) once, on rank 0:
             // how many factors each pass fused into how many messages.
             if rank == 0 {
@@ -1134,11 +1141,12 @@ fn train_segment(
                 &agreed,
                 &inv_dims,
                 world,
-                cfg.effective_placement(),
+                schedule.placement,
                 Some(&prev),
                 a_pipeline.as_ref(),
                 g_pipeline.as_ref(),
-                cfg.fusion,
+                // Only pipelined schedules have measured pipelines to plan.
+                fusion_strategy.unwrap_or(FusionStrategy::Naive),
             );
             let outcome = controller.consider(&mut store, placement, a_f, g_f);
             if outcome.swapped {
@@ -1255,7 +1263,10 @@ fn run_elastic(
                     Vec::new()
                 };
                 let len_buf = vec![packed.len() as f64];
-                let len = comm.broadcast_async(len_buf, src).wait()?.data[0] as usize;
+                let announced = comm.broadcast_async(len_buf, src).wait()?.data;
+                let bound = TrainCheckpoint::max_packed_len(&state.net, iters);
+                let len = handoff_len(announced.first().copied().unwrap_or(f64::NAN), bound)
+                    .map_err(|e| CommError::Io(format!("epoch {}: {e}", ep.epoch)))?;
                 let payload = if rank == src { packed } else { vec![0.0; len] };
                 let data = comm.broadcast_async(payload, src).wait()?.data;
                 if rank != src {
@@ -1325,6 +1336,19 @@ fn run_elastic(
             }
         }
     }
+}
+
+/// Checks the checkpoint length a state source announced before anything
+/// is allocated for it: a finite, non-negative integer no larger than
+/// `bound`, the longest checkpoint this model and run length can pack.
+fn handoff_len(announced: f64, bound: usize) -> Result<usize, String> {
+    // NaN fails every comparison; ±∞ and 1e300 fail the bound.
+    if announced >= 0.0 && announced.fract() == 0.0 && announced <= bound as f64 {
+        return Ok(announced as usize);
+    }
+    Err(format!(
+        "state handoff announced {announced} values; this model packs at most {bound}"
+    ))
 }
 
 /// Builds EKFAC update directions: every preconditioned layer's gradient is
@@ -1429,21 +1453,69 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_train_session() {
-        // The legacy entry points are thin wrappers over the same impl and
-        // must stay bit-identical until removed.
-        let mut cfg = DistributedConfig::new(2, Algorithm::DKfac);
-        cfg.kfac.damping = 0.1;
-        cfg.kfac.momentum = 0.0;
-        let data = gaussian_blobs(3, 6, 16, 0.3, 17);
-        let build = || mlp(&[6, 12, 3], 3);
-        let old = train(&cfg, &build, &data, 4, 4);
-        let new = TrainSession::builder(cfg)
-            .run(&build, &data, 4, 4)
-            .expect("local run");
-        assert_eq!(old.final_params, new.final_params);
-        assert_eq!(old.losses, new.losses);
+    fn schedule_table_rows() {
+        // LBP in the const table is the placement module's default.
+        assert_eq!(
+            Algorithm::SpdKfac.schedule().placement,
+            PlacementStrategy::default()
+        );
+        let bulk = [Algorithm::SSgd, Algorithm::DKfac, Algorithm::MpdKfac];
+        for algorithm in bulk {
+            assert_eq!(algorithm.schedule().factor_comm, FactorComm::Bulk);
+        }
+        assert_eq!(
+            Algorithm::EkfacSpd.schedule().preconditioner,
+            Preconditioner::Ekfac
+        );
+        // The config's fusion strategy only reaches pipelined rows.
+        let mut cfg = DistributedConfig::new(2, Algorithm::SpdKfac);
+        cfg.fusion = FusionStrategy::LayerWise;
+        assert_eq!(
+            cfg.schedule().factor_comm,
+            FactorComm::Pipelined(FusionStrategy::LayerWise)
+        );
+        cfg.algorithm = Algorithm::DKfac;
+        assert_eq!(cfg.schedule(), Algorithm::DKfac.schedule());
+    }
+
+    #[test]
+    fn handoff_length_is_bounded_by_the_fullest_checkpoint() {
+        let iters = 7;
+        let mut cfg = DistributedConfig::new(2, Algorithm::EkfacSpd);
+        cfg.kfac.momentum = 0.9;
+        let build = || deep_mlp(5, 6, 2, 3, 9);
+        let mut ws = WorkerState::fresh(&cfg, &build);
+        // Populate every optional section: momentum, factors, inverses,
+        // EKFAC bases and scales, and one loss per iteration.
+        ws.sgd.step(&mut ws.net.parameters_mut());
+        let dims = ws.net.kfac_dims();
+        for (si, &(a, g)) in dims.iter().enumerate() {
+            let st = &mut ws.states[si];
+            st.update_a(Matrix::identity(a), 0.0);
+            st.update_g(Matrix::identity(g), 0.0);
+            st.set_a_inv(Matrix::identity(a));
+            st.set_g_inv(Matrix::identity(g));
+            ws.ekfac_bases[2 * si] = Some((Matrix::identity(a), vec![1.0; a]));
+            ws.ekfac_bases[2 * si + 1] = Some((Matrix::identity(g), vec![1.0; g]));
+            ws.ekfac_scales[si] = Some(Matrix::from_fn(g, a, |_, _| 1.0));
+        }
+        ws.losses = vec![0.5; iters];
+        ws.next_iter = iters;
+        let packed = ws.checkpoint().pack().len();
+        let bound = TrainCheckpoint::max_packed_len(&ws.net, iters);
+        assert_eq!(packed, bound, "the fullest checkpoint defines the bound");
+        assert_eq!(handoff_len(packed as f64, bound), Ok(packed));
+        assert_eq!(handoff_len(0.0, bound), Ok(0));
+        for bad in [
+            f64::NAN,
+            -1.0,
+            (bound + 1) as f64,
+            1e300,
+            f64::INFINITY,
+            2.5,
+        ] {
+            assert!(handoff_len(bad, bound).is_err(), "{bad} accepted");
+        }
     }
 
     #[test]

@@ -163,6 +163,32 @@ impl TrainCheckpoint {
         out
     }
 
+    /// The longest [`TrainCheckpoint::pack`] vector a run of `net` over
+    /// `iters` iterations can produce: every optional section present
+    /// (momentum, factors, inverses, EKFAC bases and scales) and one loss
+    /// per iteration. A receiver computes it from its own fresh replica to
+    /// bound what a state source may announce.
+    pub(crate) fn max_packed_len(net: &Sequential, iters: usize) -> usize {
+        // Present optional matrix: tag, rows, cols, data.
+        let opt_matrix = |rows: usize, cols: usize| 3 + rows * cols;
+        let numel: Vec<usize> = net.parameters().iter().map(|p| p.numel()).collect();
+        let dims = net.kfac_dims();
+        let params: usize = numel.iter().sum();
+        let velocity: usize = numel.iter().map(|n| 2 + n).sum();
+        let factors: usize = dims
+            .iter()
+            .map(|&(a, g)| 1 + 2 * opt_matrix(a, a) + 2 * opt_matrix(g, g))
+            .sum();
+        let bases: usize = dims
+            .iter()
+            .flat_map(|&(a, g)| [a, g])
+            .map(|d| opt_matrix(d, d) + 1 + d)
+            .sum();
+        let scales: usize = dims.iter().map(|&(a, g)| opt_matrix(g, a)).sum();
+        // Magic and iteration, then each section behind its length prefix.
+        2 + (1 + iters) + (1 + params) + (1 + velocity) + (1 + factors) + (1 + bases) + (1 + scales)
+    }
+
     /// Deserializes a [`TrainCheckpoint::pack`] vector.
     ///
     /// # Errors

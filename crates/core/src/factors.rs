@@ -2,7 +2,7 @@
 
 use crate::error::{FactorSide, KfacError};
 use spdkfac_nn::KfacCapture;
-use spdkfac_tensor::{chol, Matrix, SymPacked};
+use spdkfac_tensor::{chol, Matrix};
 
 /// Per-layer Kronecker-factor state: exponential moving averages of
 /// `A = E[a aᵀ]` and `G = E[ĝ ĝᵀ]` plus their damped inverses.
@@ -135,26 +135,6 @@ impl FactorState {
     pub fn g_inv(&self) -> Option<&Matrix> {
         self.g_inv.as_ref()
     }
-
-    /// Packs the running factors for the wire (`A` then `G`), as the factor
-    /// all-reduce does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no statistics have been accumulated yet.
-    pub fn packed_factors(&self) -> (SymPacked, SymPacked) {
-        (
-            SymPacked::from_matrix(self.a.as_ref().expect("no A statistics yet")),
-            SymPacked::from_matrix(self.g.as_ref().expect("no G statistics yet")),
-        )
-    }
-
-    /// Overwrites the running factors from packed wire buffers (the receive
-    /// side of the factor all-reduce).
-    pub fn set_factors_from_packed(&mut self, a: &SymPacked, g: &SymPacked) {
-        self.a = Some(a.to_matrix());
-        self.g = Some(g.to_matrix());
-    }
 }
 
 /// Computes the local `A` factor from captured input rows:
@@ -236,19 +216,10 @@ mod tests {
 
     #[test]
     fn local_factor_helpers_match_capture_methods() {
+        // Bit for bit: the trainer's hooks use the helpers, the
+        // single-process optimizer the capture methods.
         let cap = capture(9);
-        assert!(local_factor_a(&cap.a_rows).max_abs_diff(&cap.factor_a()) < 1e-14);
-        assert!(local_factor_g(&cap.g_rows, cap.batch).max_abs_diff(&cap.factor_g()) < 1e-14);
-    }
-
-    #[test]
-    fn packed_roundtrip_preserves_factors() {
-        let mut st = FactorState::new(0);
-        st.update_from_capture(&capture(5), 0.95);
-        let (pa, pg) = st.packed_factors();
-        let mut st2 = FactorState::new(0);
-        st2.set_factors_from_packed(&pa, &pg);
-        assert!(st2.factor_a().unwrap().max_abs_diff(st.factor_a().unwrap()) < 1e-15);
-        assert!(st2.factor_g().unwrap().max_abs_diff(st.factor_g().unwrap()) < 1e-15);
+        assert_eq!(local_factor_a(&cap.a_rows), cap.factor_a());
+        assert_eq!(local_factor_g(&cap.g_rows, cap.batch), cap.factor_g());
     }
 }

@@ -3,12 +3,13 @@
 
 use crate::graph::{Tag, TaskGraph, TaskSpan};
 use crate::hardware::HardwareProfile;
-use crate::net::{self, NetTopology};
+use crate::net::{self, NetTopology, NetworkModel};
 use crate::report::{attribute, SimReport};
 use crate::sched::PolicyHandle;
-use spdkfac_core::fusion::{self, FactorPipeline, FusionStrategy};
+use spdkfac_core::distributed::{Algorithm, FactorComm, Preconditioner};
+use spdkfac_core::fusion::{self, FactorPipeline, FusionController, FusionStrategy};
 use spdkfac_core::placement::{
-    PlacementContext, PlacementPolicy, PlacementStrategy, TensorAssignment,
+    Placement, PlacementContext, PlacementPolicy, PlacementStrategy, TensorAssignment,
 };
 use spdkfac_models::ModelProfile;
 use spdkfac_obs::{CollEdge, SpanMeta};
@@ -27,6 +28,67 @@ fn coll_meta(edge: CollEdge, seq: &mut u64, size: usize) -> SpanMeta {
     };
     *seq += 1;
     m
+}
+
+/// Queues one factor all-reduce of `elems` elements after task `dep`.
+fn push_factor_comm(
+    net: &mut dyn NetworkModel,
+    g: &mut TaskGraph,
+    seq: &mut u64,
+    elems: usize,
+    dep: usize,
+) -> usize {
+    let meta = coll_meta(CollEdge::Join, seq, elems);
+    net.push_allreduce(g, elems, &[dep], Tag::FactorComm, meta)
+}
+
+/// Queues the inverse phase of `plc` over `dims`, every inversion after
+/// `deps`. Per-GPU order (§V-B): communicated tensors first (smallest
+/// first) so their broadcasts hit the network early, then the replicated
+/// NCTs, which overlap the remaining broadcasts. CT broadcasts are issued
+/// round-robin across owners so the network picks them up roughly in
+/// completion order. Returns GPU 0's inversion ids and the broadcast ids.
+fn push_inverse_phase(
+    g: &mut TaskGraph,
+    net: &mut dyn NetworkModel,
+    hw: &HardwareProfile,
+    plc: &Placement,
+    dims: &[usize],
+    deps: &[usize],
+    seq: &mut u64,
+) -> (Vec<usize>, Vec<usize>) {
+    let comp_ids: Vec<Vec<(usize, usize)>> = (0..plc.world())
+        .map(|p| {
+            let mut mine = plc.set_for_gpu(p);
+            mine.sort_by(|&a, &b| {
+                plc.is_nct(a)
+                    .cmp(&plc.is_nct(b))
+                    .then(dims[a].cmp(&dims[b]))
+                    .then(a.cmp(&b))
+            });
+            mine.into_iter()
+                .map(|t| {
+                    (
+                        t,
+                        g.push(p, hw.inverse_time(dims[t]), deps, Tag::InverseComp),
+                    )
+                })
+                .collect()
+        })
+        .collect();
+    let mut bcast_ids = Vec::new();
+    let max_len = comp_ids.iter().map(Vec::len).max().unwrap_or(0);
+    for k in 0..max_len {
+        for &(t, comp_id) in comp_ids.iter().filter_map(|ids| ids.get(k)) {
+            if let TensorAssignment::Gpu(owner) = plc.assignments()[t] {
+                let d = dims[t];
+                let meta = coll_meta(CollEdge::FanOut { root: owner }, seq, d * (d + 1) / 2);
+                bcast_ids.push(net.push_bcast(g, d, owner, &[comp_id], Tag::InverseComm, meta));
+            }
+        }
+    }
+    let gpu0 = comp_ids[0].iter().map(|&(_, id)| id).collect();
+    (gpu0, bcast_ids)
 }
 
 /// Training algorithms that can be simulated (the bars of Fig. 2 plus the
@@ -49,6 +111,20 @@ pub enum Algo {
     SpdKfac,
 }
 
+impl Algo {
+    /// The trainer algorithm whose row of core's schedule table
+    /// ([`Algorithm::schedule`]) this simulates. The single-GPU baselines
+    /// take S-SGD's and D-KFAC's rows on one GPU with no communication.
+    fn algorithm(self) -> Algorithm {
+        match self {
+            Algo::SgdSingle | Algo::SSgd => Algorithm::SSgd,
+            Algo::KfacSingle | Algo::DKfac => Algorithm::DKfac,
+            Algo::MpdKfac => Algorithm::MpdKfac,
+            Algo::SpdKfac => Algorithm::SpdKfac,
+        }
+    }
+}
+
 /// How Kronecker factors are aggregated across workers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FactorCommMode {
@@ -58,12 +134,24 @@ pub enum FactorCommMode {
     /// (the baseline of Pauloski et al., used by D-KFAC / MPD-KFAC).
     Bulk,
     /// All `A`s all-reduced at the end of forward (overlapping backward),
-    /// all `G`s at the end of backward — Fig. 10's "Naive".
+    /// all `G`s at the end of backward — Fig. 10's "Naive". This is not
+    /// `Pipelined(FusionStrategy::Naive)`, which queues the `G` message from
+    /// the last backward step, ahead of the final gradient bucket; here it
+    /// waits behind every gradient all-reduce.
     Naive,
     /// Per-bucket all-reduces pipelined with compute under the given fusion
     /// strategy (Fig. 10's "LW w/o TF" = `LayerWise`, "LW w/ TTF" =
     /// `Threshold`, "SP w/ OTF" = `Optimal`).
     Pipelined(FusionStrategy),
+}
+
+impl From<FactorComm> for FactorCommMode {
+    fn from(comm: FactorComm) -> Self {
+        match comm {
+            FactorComm::Bulk => FactorCommMode::Bulk,
+            FactorComm::Pipelined(strategy) => FactorCommMode::Pipelined(strategy),
+        }
+    }
 }
 
 /// How gradients are fused for WFBP aggregation.
@@ -147,7 +235,8 @@ pub fn simulate_iteration_planned(
     plan_hw: Option<&HardwareProfile>,
 ) -> SimReport {
     let single = matches!(algo, Algo::SgdSingle | Algo::KfacSingle);
-    let precond = !matches!(algo, Algo::SgdSingle | Algo::SSgd);
+    let schedule = algo.algorithm().schedule();
+    let precond = schedule.preconditioner != Preconditioner::None;
     let world = if single { 1 } else { cfg.world.max(1) };
     let adjust = |profile: &HardwareProfile| -> HardwareProfile {
         let mut h = if single {
@@ -165,35 +254,18 @@ pub fn simulate_iteration_planned(
     let hw = adjust(&cfg.hw);
     let phw = plan_hw.map(adjust).unwrap_or_else(|| hw.clone());
 
-    let factor_mode = if !precond || single {
-        FactorCommMode::LocalOnly
+    // Single-GPU runs and S-SGD move no factors and invert locally; the
+    // distributed K-FAC variants take their row of core's schedule table
+    // unless the config overrides it for an ablation.
+    let (factor_mode, policy): (FactorCommMode, PolicyHandle) = if !precond || single {
+        (FactorCommMode::LocalOnly, PlacementStrategy::NonDist.into())
     } else {
-        match algo {
-            Algo::DKfac | Algo::MpdKfac => cfg.factor_mode.unwrap_or(FactorCommMode::Bulk),
-            Algo::SpdKfac => cfg
-                .factor_mode
-                .unwrap_or(FactorCommMode::Pipelined(FusionStrategy::Optimal)),
-            _ => FactorCommMode::LocalOnly,
-        }
-    };
-    let policy: PolicyHandle = if !precond || single {
-        PlacementStrategy::NonDist.into()
-    } else {
-        match algo {
-            Algo::DKfac => cfg
-                .placement
+        (
+            cfg.factor_mode.unwrap_or(schedule.factor_comm.into()),
+            cfg.placement
                 .clone()
-                .unwrap_or_else(|| PlacementStrategy::NonDist.into()),
-            Algo::MpdKfac => cfg
-                .placement
-                .clone()
-                .unwrap_or_else(|| PlacementStrategy::SeqDist.into()),
-            Algo::SpdKfac => cfg
-                .placement
-                .clone()
-                .unwrap_or_else(|| PlacementStrategy::default().into()),
-            _ => PlacementStrategy::NonDist.into(),
-        }
+                .unwrap_or_else(|| schedule.placement.into()),
+        )
     };
 
     // The network model owns resource layout and collective timing:
@@ -230,51 +302,36 @@ pub fn simulate_iteration_planned(
     let plan_comm = plan_net.plan_allreduce();
     // Running k-th-collective index of the network queue.
     let mut coll_seq: u64 = 0;
-    let a_plan = match factor_mode {
-        FactorCommMode::Pipelined(strategy) => Some(fusion::plan(
-            &FactorPipeline::new(a_ready.clone(), a_sizes.clone()).expect("A pipeline"),
+    // One pipelined pass's fusion controller, planned over its ready times.
+    let controller = |ready: &[f64], sizes: &[usize]| match factor_mode {
+        FactorCommMode::Pipelined(strategy) => Some(FusionController::new(fusion::plan(
+            &FactorPipeline::new(ready.to_vec(), sizes.to_vec()).expect("factor pipeline"),
             &plan_comm,
             strategy,
-        )),
+        ))),
         _ => None,
     };
 
+    let mut a_ctl = controller(&a_ready, &a_sizes);
     let mut a_comp_ids = Vec::with_capacity(nl);
     let mut factor_comm_ids: Vec<usize> = Vec::new();
-    {
-        let mut bucket_idx = 0usize;
-        let mut in_bucket = 0usize;
-        for l in layers {
-            if precond {
-                let id = g.push(0, hw.factor_a_time(l, batch), &[], Tag::FactorComp);
-                a_comp_ids.push(id);
-                if let Some(plan) = &a_plan {
-                    in_bucket += 1;
-                    if in_bucket == plan.buckets()[bucket_idx].len() {
-                        let elems: usize =
-                            plan.buckets()[bucket_idx].iter().map(|&i| a_sizes[i]).sum();
-                        let dep = a_comp_ids[*plan.buckets()[bucket_idx].last().expect("bucket")];
-                        let meta = coll_meta(CollEdge::Join, &mut coll_seq, elems);
-                        factor_comm_ids.push(exec_net.push_allreduce(
-                            &mut g,
-                            elems,
-                            &[dep],
-                            Tag::FactorComm,
-                            meta,
-                        ));
-                        bucket_idx += 1;
-                        in_bucket = 0;
-                    }
-                }
+    for (i, l) in layers.iter().enumerate() {
+        if precond {
+            let id = g.push(0, hw.factor_a_time(l, batch), &[], Tag::FactorComp);
+            a_comp_ids.push(id);
+            if let Some(bucket) = a_ctl.as_mut().and_then(|c| c.offer(i)) {
+                let elems = bucket.iter().map(|&k| a_sizes[k]).sum();
+                let net = &mut *exec_net;
+                factor_comm_ids.push(push_factor_comm(net, &mut g, &mut coll_seq, elems, id));
             }
-            g.push(0, hw.ff_time(l, batch), &[], Tag::FfBp);
         }
+        g.push(0, hw.ff_time(l, batch), &[], Tag::FfBp);
     }
-    if precond && matches!(factor_mode, FactorCommMode::Naive) {
-        let elems: usize = a_sizes.iter().sum();
+    if precond && factor_mode == FactorCommMode::Naive {
         let dep = *a_comp_ids.last().expect("layers non-empty");
-        let meta = coll_meta(CollEdge::Join, &mut coll_seq, elems);
-        factor_comm_ids.push(exec_net.push_allreduce(&mut g, elems, &[dep], Tag::FactorComm, meta));
+        let elems = a_sizes.iter().sum();
+        let net = &mut *exec_net;
+        factor_comm_ids.push(push_factor_comm(net, &mut g, &mut coll_seq, elems, dep));
     }
 
     // ---------------- Backward pass (+ G factors + WFBP gradients) --------
@@ -289,134 +346,64 @@ pub fn simulate_iteration_planned(
             g_ready.push(cursor);
         }
     }
-    let g_plan = match factor_mode {
-        FactorCommMode::Pipelined(strategy) => Some(fusion::plan(
-            &FactorPipeline::new(g_ready.clone(), g_sizes_rev.clone()).expect("G pipeline"),
-            &plan_comm,
-            strategy,
-        )),
-        _ => None,
-    };
-
+    let mut g_ctl = controller(&g_ready, &g_sizes_rev);
     let grad_sizes_rev: Vec<usize> = layers.iter().rev().map(|l| l.params()).collect();
-    let grad_plan = if !single && cfg.grad_fusion == GradFusionMode::Optimal {
-        Some(fusion::plan(
-            &FactorPipeline::new(grad_ready.clone(), grad_sizes_rev.clone())
-                .expect("grad pipeline"),
+    let mut grad_ctl = (!single && cfg.grad_fusion == GradFusionMode::Optimal).then(|| {
+        FusionController::new(fusion::plan(
+            &FactorPipeline::new(grad_ready, grad_sizes_rev).expect("grad pipeline"),
             &plan_comm,
             FusionStrategy::Optimal,
         ))
-    } else {
-        None
-    };
+    });
 
     let mut last_bwd_id = 0usize;
     let mut g_comp_ids = Vec::with_capacity(nl);
-    {
-        let mut bucket_idx = 0usize;
-        let mut in_bucket = 0usize;
-        let mut grad_acc = 0usize;
-        let mut grad_bucket_idx = 0usize;
-        let mut grad_in_bucket = 0usize;
-        for l in layers.iter().rev() {
-            let bp_id = g.push(0, hw.bp_time(l, batch), &[], Tag::FfBp);
-            last_bwd_id = bp_id;
-            if precond {
-                let gid = g.push(0, hw.factor_g_time(l, batch), &[], Tag::FactorComp);
-                g_comp_ids.push(gid);
-                last_bwd_id = gid;
-                if let Some(plan) = &g_plan {
-                    in_bucket += 1;
-                    if in_bucket == plan.buckets()[bucket_idx].len() {
-                        let elems: usize = plan.buckets()[bucket_idx]
-                            .iter()
-                            .map(|&i| g_sizes_rev[i])
-                            .sum();
-                        let dep = g_comp_ids[*plan.buckets()[bucket_idx].last().expect("bucket")];
-                        let meta = coll_meta(CollEdge::Join, &mut coll_seq, elems);
-                        factor_comm_ids.push(exec_net.push_allreduce(
-                            &mut g,
-                            elems,
-                            &[dep],
-                            Tag::FactorComm,
-                            meta,
-                        ));
-                        bucket_idx += 1;
-                        in_bucket = 0;
-                    }
-                }
-            }
-            if !single {
-                match &grad_plan {
-                    // MG-WFBP: buckets follow the Eq. 15 plan over gradient
-                    // ready times.
-                    Some(plan) => {
-                        grad_acc += l.params();
-                        grad_in_bucket += 1;
-                        if grad_in_bucket == plan.buckets()[grad_bucket_idx].len() {
-                            let meta = coll_meta(CollEdge::Join, &mut coll_seq, grad_acc);
-                            exec_net.push_allreduce(
-                                &mut g,
-                                grad_acc,
-                                &[bp_id],
-                                Tag::GradComm,
-                                meta,
-                            );
-                            grad_acc = 0;
-                            grad_in_bucket = 0;
-                            grad_bucket_idx += 1;
-                        }
-                    }
-                    // WFBP: gradients of this layer join the fusion buffer;
-                    // flush when the Horovod buffer capacity is reached.
-                    None => {
-                        grad_acc += l.params();
-                        if grad_acc >= cfg.grad_fusion_elems {
-                            let meta = coll_meta(CollEdge::Join, &mut coll_seq, grad_acc);
-                            exec_net.push_allreduce(
-                                &mut g,
-                                grad_acc,
-                                &[bp_id],
-                                Tag::GradComm,
-                                meta,
-                            );
-                            grad_acc = 0;
-                        }
-                    }
-                }
+    let mut grad_acc = 0usize;
+    for (k, l) in layers.iter().rev().enumerate() {
+        let bp_id = g.push(0, hw.bp_time(l, batch), &[], Tag::FfBp);
+        last_bwd_id = bp_id;
+        if precond {
+            let gid = g.push(0, hw.factor_g_time(l, batch), &[], Tag::FactorComp);
+            g_comp_ids.push(gid);
+            last_bwd_id = gid;
+            if let Some(bucket) = g_ctl.as_mut().and_then(|c| c.offer(k)) {
+                let elems = bucket.iter().map(|&j| g_sizes_rev[j]).sum();
+                let net = &mut *exec_net;
+                factor_comm_ids.push(push_factor_comm(net, &mut g, &mut coll_seq, elems, gid));
             }
         }
-        if !single && grad_acc > 0 {
-            let meta = coll_meta(CollEdge::Join, &mut coll_seq, grad_acc);
-            exec_net.push_allreduce(&mut g, grad_acc, &[last_bwd_id], Tag::GradComm, meta);
+        if !single {
+            // This layer's gradients join the fusion buffer. MG-WFBP flushes
+            // where the Eq. 15 plan over gradient ready times closes a
+            // bucket; WFBP once the Horovod buffer capacity is reached.
+            grad_acc += l.params();
+            let flush = match grad_ctl.as_mut() {
+                Some(ctl) => ctl.offer(k).is_some(),
+                None => grad_acc >= cfg.grad_fusion_elems,
+            };
+            if flush {
+                let meta = coll_meta(CollEdge::Join, &mut coll_seq, grad_acc);
+                exec_net.push_allreduce(&mut g, grad_acc, &[bp_id], Tag::GradComm, meta);
+                grad_acc = 0;
+            }
         }
     }
-    match factor_mode {
+    if !single && grad_acc > 0 {
+        let meta = coll_meta(CollEdge::Join, &mut coll_seq, grad_acc);
+        exec_net.push_allreduce(&mut g, grad_acc, &[last_bwd_id], Tag::GradComm, meta);
+    }
+    // Bulk sends every factor, Naive the G block, behind the gradients.
+    let tail = match factor_mode {
         FactorCommMode::Bulk => {
-            let elems: usize = a_sizes.iter().sum::<usize>() + g_sizes_rev.iter().sum::<usize>();
-            let dep = *g_comp_ids.last().expect("layers non-empty");
-            let meta = coll_meta(CollEdge::Join, &mut coll_seq, elems);
-            factor_comm_ids.push(exec_net.push_allreduce(
-                &mut g,
-                elems,
-                &[dep],
-                Tag::FactorComm,
-                meta,
-            ));
+            Some(a_sizes.iter().sum::<usize>() + g_sizes_rev.iter().sum::<usize>())
         }
-        FactorCommMode::Naive => {
-            let elems: usize = g_sizes_rev.iter().sum();
-            let dep = *g_comp_ids.last().expect("layers non-empty");
-            let meta = coll_meta(CollEdge::Join, &mut coll_seq, elems);
-            factor_comm_ids.push(exec_net.push_allreduce(
-                &mut g,
-                elems,
-                &[dep],
-                Tag::FactorComm,
-                meta,
-            ));
-        }
-        _ => {}
+        FactorCommMode::Naive => Some(g_sizes_rev.iter().sum()),
+        _ => None,
+    };
+    if let Some(elems) = tail {
+        let dep = *g_comp_ids.last().expect("layers non-empty");
+        let net = &mut *exec_net;
+        factor_comm_ids.push(push_factor_comm(net, &mut g, &mut coll_seq, elems, dep));
     }
 
     // ---------------- Inverse phase ---------------------------------------
@@ -429,53 +416,17 @@ pub fn simulate_iteration_planned(
         // Barrier: all factors aggregated (and backward finished).
         let mut barrier = factor_comm_ids.clone();
         barrier.push(last_bwd_id);
-
-        // Per-GPU inversion order (§V-B): communicated tensors first
-        // (smallest first) so their broadcasts hit the network early, then
-        // the replicated NCTs, which overlap the remaining broadcasts.
-        let mut comp_id_of_tensor: Vec<Vec<(usize, usize)>> = vec![Vec::new(); world];
-        for (p, ids) in comp_id_of_tensor.iter_mut().enumerate() {
-            let mut mine = plc.set_for_gpu(p);
-            mine.sort_by(|&a, &b| {
-                plc.is_nct(a)
-                    .cmp(&plc.is_nct(b))
-                    .then(inv_dims[a].cmp(&inv_dims[b]))
-                    .then(a.cmp(&b))
-            });
-            for t in mine {
-                let id = g.push(p, hw.inverse_time(inv_dims[t]), &barrier, Tag::InverseComp);
-                ids.push((t, id));
-            }
-        }
-        // Broadcasts of CT results, issued round-robin across owners so the
-        // network picks them up roughly in completion order.
-        let mut bcast_ids = Vec::new();
-        let max_len = comp_id_of_tensor.iter().map(|v| v.len()).max().unwrap_or(0);
-        for k in 0..max_len {
-            for (p, ids) in comp_id_of_tensor.iter().enumerate() {
-                if let Some(&(t, comp_id)) = ids.get(k) {
-                    if let TensorAssignment::Gpu(owner) = plc.assignments()[t] {
-                        debug_assert_eq!(owner, p);
-                        let d = inv_dims[t];
-                        let meta = coll_meta(
-                            CollEdge::FanOut { root: owner },
-                            &mut coll_seq,
-                            d * (d + 1) / 2,
-                        );
-                        bcast_ids.push(exec_net.push_bcast(
-                            &mut g,
-                            d,
-                            owner,
-                            &[comp_id],
-                            Tag::InverseComm,
-                            meta,
-                        ));
-                    }
-                }
-            }
-        }
+        let (gpu0_comp_ids, bcast_ids) = push_inverse_phase(
+            &mut g,
+            &mut *exec_net,
+            &hw,
+            &plc,
+            &inv_dims,
+            &barrier,
+            &mut coll_seq,
+        );
         // Preconditioning + update on the representative GPU.
-        let mut update_deps: Vec<usize> = comp_id_of_tensor[0].iter().map(|&(_, id)| id).collect();
+        let mut update_deps = gpu0_comp_ids;
         update_deps.extend(&bcast_ids);
         let precond_time: f64 = layers
             .iter()
@@ -544,37 +495,7 @@ pub fn simulate_inverse_phase(
     let ctx = PlacementContext::new(dims, world, &hw.inverse, &plan_bcast)
         .with_gpus_per_node(exec_net.gpus_per_node());
     let plc = policy.place(&ctx);
-    let mut comp_id_of_tensor: Vec<Vec<(usize, usize)>> = vec![Vec::new(); world];
-    for (p, ids) in comp_id_of_tensor.iter_mut().enumerate() {
-        let mut mine = plc.set_for_gpu(p);
-        mine.sort_by(|&a, &b| {
-            plc.is_nct(a)
-                .cmp(&plc.is_nct(b))
-                .then(dims[a].cmp(&dims[b]))
-                .then(a.cmp(&b))
-        });
-        for t in mine {
-            let id = g.push(p, hw.inverse_time(dims[t]), &[], Tag::InverseComp);
-            ids.push((t, id));
-        }
-    }
-    let max_len = comp_id_of_tensor.iter().map(|v| v.len()).max().unwrap_or(0);
-    let mut coll_seq: u64 = 0;
-    for k in 0..max_len {
-        for ids in comp_id_of_tensor.iter() {
-            if let Some(&(t, comp_id)) = ids.get(k) {
-                if let TensorAssignment::Gpu(owner) = plc.assignments()[t] {
-                    let d = dims[t];
-                    let meta = coll_meta(
-                        CollEdge::FanOut { root: owner },
-                        &mut coll_seq,
-                        d * (d + 1) / 2,
-                    );
-                    exec_net.push_bcast(&mut g, d, owner, &[comp_id], Tag::InverseComm, meta);
-                }
-            }
-        }
-    }
+    push_inverse_phase(&mut g, &mut *exec_net, &hw, &plc, dims, &[], &mut 0);
     let spans = exec_net.execute(&mut g);
     attribute(spans, world)
 }

@@ -1,4 +1,4 @@
-//! Cross-crate integration: the three distributed K-FAC variants are
+//! Cross-crate integration: the distributed K-FAC variants are
 //! numerically equivalent to each other and to single-process K-FAC — over
 //! MLPs and CNNs, multiple world sizes, and with inverse-update intervals.
 
@@ -76,21 +76,16 @@ fn variants_agree_on_residual_batchnorm_net() {
 }
 
 #[test]
-fn world_one_spd_matches_single_process_kfac() {
-    // A 1-worker distributed SPD-KFAC run must match the single-process
-    // optimizer step-for-step (same statistics, same inverses, same update).
+fn world_one_kfac_variants_match_single_process_kfac() {
+    // A 1-worker distributed run of every K-FAC variant must match the
+    // single-process optimizer step-for-step (same statistics, same
+    // inverses, same update). The distributed trainer captures factors in
+    // its forward/backward hooks for bulk and pipelined schedules alike;
+    // the single-process optimizer drains them with `take_captures`, so it
+    // is an independent reference for both paths.
     let data = gaussian_blobs(3, 6, 24, 0.3, 41);
     let iters = 5;
     let batch = 6;
-
-    let dist = run(
-        Algorithm::SpdKfac,
-        1,
-        &|| deep_mlp(6, 10, 2, 3, 3),
-        &data,
-        iters,
-        batch,
-    );
 
     let mut net = deep_mlp(6, 10, 2, 3, 3);
     let mut opt = KfacOptimizer::new(
@@ -110,10 +105,14 @@ fn world_one_spd_matches_single_process_kfac() {
         net.backward(&grad);
         opt.step(&mut net).expect("step");
     }
-    assert!(
-        max_diff(&dist.final_params, &net.flat_params()) < 1e-9,
-        "distributed world-1 diverged from single-process K-FAC"
-    );
+
+    for algo in [Algorithm::DKfac, Algorithm::MpdKfac, Algorithm::SpdKfac] {
+        let dist = run(algo, 1, &|| deep_mlp(6, 10, 2, 3, 3), &data, iters, batch);
+        assert!(
+            max_diff(&dist.final_params, &net.flat_params()) < 1e-9,
+            "distributed world-1 {algo:?} diverged from single-process K-FAC"
+        );
+    }
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Cross-crate integration: the unified instrumentation layer observing the
 //! real trainers — measured breakdowns account for wall time, SPD-KFAC's
-//! pipelining visibly hides factor communication relative to D-KFAC, and
+//! pipelining visibly hides factor communication relative to D-KFAC (by
+//! timing, and by collective submission order), and
 //! the exported Chrome trace is valid Perfetto-loadable JSON with one row
 //! per rank plus one per phase category.
 
@@ -10,8 +11,8 @@ use spdkfac::core::perf::ExpInverseModel;
 use spdkfac::nn::data::gaussian_blobs;
 use spdkfac::nn::models::deep_mlp;
 use spdkfac::obs::{
-    chrome_trace, validate_json, CriticalReport, IterationBreakdown, Phase, RankMap, Recorder,
-    TrackLayout,
+    chrome_trace, validate_json, CollEdge, CriticalReport, IterationBreakdown, Phase, RankMap,
+    Recorder, TrackLayout,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -89,6 +90,68 @@ fn spd_hides_factor_comm_better_than_dkfac() {
         "SPD median factor_comm share {s_share:.4} not below D-KFAC {d_share:.4} \
          (spd runs {s:.4?}, dkfac runs {d:.4?})"
     );
+}
+
+/// One rank's all-reduces per iteration, read off its comm track in
+/// submission order as `(seq, phase)` pairs. The Update-phase all-reduces
+/// (the loss, and after the first pipelined iteration the plan agreement)
+/// close each iteration.
+fn allreduces_per_iteration(rec: &Recorder, world: usize, rank: usize) -> Vec<Vec<(u64, Phase)>> {
+    let mut ops: Vec<(u64, Phase)> = rec
+        .spans()
+        .iter()
+        .filter(|s| s.track == world + rank && s.meta.edge == Some(CollEdge::Join))
+        .filter_map(|s| s.meta.seq.map(|seq| (seq, s.phase)))
+        .collect();
+    ops.sort_unstable_by_key(|&(seq, _)| seq);
+    let mut iters = Vec::new();
+    let mut cur = Vec::new();
+    for op in ops {
+        if op.1 != Phase::Update {
+            cur.push(op);
+        } else if !cur.is_empty() {
+            iters.push(std::mem::take(&mut cur));
+        }
+    }
+    assert!(
+        cur.is_empty(),
+        "rank {rank}: collectives after the last loss"
+    );
+    iters
+}
+
+#[test]
+fn factor_allreduces_follow_the_schedule() {
+    // Timing-free companion of the headline test above: the submission
+    // order of each rank's collectives shows the schedule directly.
+    // SPD-KFAC's pipelined A message leaves during forward, before any
+    // gradient all-reduce; D-KFAC and MPD-KFAC send exactly one bulk factor
+    // all-reduce per iteration, after the last gradient bucket.
+    let (world, iters) = (4, 4);
+    for algorithm in [Algorithm::SpdKfac, Algorithm::DKfac, Algorithm::MpdKfac] {
+        let (rec, _, _) = run_with_recorder(world, algorithm, iters);
+        for rank in 0..world {
+            let per_iter = allreduces_per_iteration(&rec, world, rank);
+            assert_eq!(per_iter.len(), iters, "{algorithm:?} rank {rank}");
+            for (i, ops) in per_iter.iter().enumerate() {
+                let seqs = |phase| -> Vec<u64> {
+                    ops.iter()
+                        .filter(|op| op.1 == phase)
+                        .map(|op| op.0)
+                        .collect()
+                };
+                let (factor, grad) = (seqs(Phase::FactorComm), seqs(Phase::GradComm));
+                let what = format!("{algorithm:?} rank {rank} iter {i}: {ops:?}");
+                assert!(!factor.is_empty() && !grad.is_empty(), "{what}");
+                if algorithm == Algorithm::SpdKfac {
+                    assert!(factor[0] < grad[0], "{what}");
+                } else {
+                    assert_eq!(factor.len(), 1, "{what}");
+                    assert!(factor[0] > grad[grad.len() - 1], "{what}");
+                }
+            }
+        }
+    }
 }
 
 #[test]
