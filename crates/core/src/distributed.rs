@@ -144,8 +144,10 @@ pub struct DistributedConfig {
     /// K-FAC hyper-parameters (ignored by [`Algorithm::SSgd`] except lr /
     /// momentum / weight decay).
     pub kfac: KfacConfig,
-    /// Fusion strategy of a pipelined schedule's factor plans (bulk
-    /// schedules ignore it). Defaults to the table's `Optimal`.
+    /// The fusion strategy of the algorithm's [`Schedule`] row, as set by
+    /// [`DistributedConfig::new`] (`Naive` for a bulk row). Informational
+    /// only: the trainer reads the table, so changing this field changes
+    /// nothing. It remains because the benchmark package reads it.
     pub fusion: FusionStrategy,
     /// Inversion-cost model used by LBP's NCT test.
     pub comp_model: ExpInverseModel,
@@ -182,7 +184,10 @@ impl DistributedConfig {
             world,
             algorithm,
             kfac: KfacConfig::default(),
-            fusion: FusionStrategy::Optimal,
+            fusion: match algorithm.schedule().factor_comm {
+                FactorComm::Pipelined(strategy) => strategy,
+                FactorComm::Bulk => FusionStrategy::Naive,
+            },
             // Arbitrary-but-plausible CPU-scale models; placement
             // correctness does not depend on the constants.
             comp_model: ExpInverseModel::new(5e-5, 2e-3),
@@ -191,16 +196,6 @@ impl DistributedConfig {
             replan: ReplanPolicy::Off,
             wire: WirePolicy::default(),
         }
-    }
-
-    /// The schedule this run executes: the algorithm's row, with
-    /// [`DistributedConfig::fusion`] as a pipelined row's strategy.
-    fn schedule(&self) -> Schedule {
-        let mut schedule = self.algorithm.schedule();
-        if let FactorComm::Pipelined(strategy) = &mut schedule.factor_comm {
-            *strategy = self.fusion;
-        }
-        schedule
     }
 }
 
@@ -467,8 +462,16 @@ impl<'a> FactorFlow<'a> {
         }
     }
 
-    /// Starts a pass: ready times are measured from here.
-    fn start_pass(&mut self) {
+    /// Starts `side`'s pass: ready times are measured from here. A
+    /// pipelined `A` pass must have sent every factor before `G` begins,
+    /// so no message mixes the two passes.
+    fn start_pass(&mut self, side: Side) {
+        if let (Some(ctls), Side::G) = (&self.ctls, side) {
+            assert!(
+                ctls[0].is_drained() && self.held.is_empty(),
+                "unflushed A-factor bucket"
+            );
+        }
         self.pass_start = Instant::now();
     }
 
@@ -515,10 +518,7 @@ impl<'a> FactorFlow<'a> {
     /// factor all-reduce of the iteration.
     fn finish(&mut self) -> Vec<PendingFactors> {
         if let Some(ctls) = &self.ctls {
-            assert!(
-                ctls.iter().all(FusionController::is_drained),
-                "unflushed factor bucket"
-            );
+            assert!(ctls[1].is_drained(), "unflushed G-factor bucket");
         }
         if !self.held.is_empty() {
             self.send(None);
@@ -781,7 +781,7 @@ fn train_segment(
         "rank {rank}: shard of {} samples cannot supply batches of {batch}",
         shard.len()
     );
-    let schedule = cfg.schedule();
+    let schedule = cfg.algorithm.schedule();
     let fusion_strategy = match schedule.factor_comm {
         FactorComm::Bulk => None,
         FactorComm::Pipelined(strategy) => Some(strategy),
@@ -877,7 +877,7 @@ fn train_segment(
         let mut flow = FactorFlow::new(comm, obs, ctls, nlayers);
         comm.set_phase(Phase::FactorComm);
         let forward_span = obs.span(Phase::FfBp);
-        flow.start_pass();
+        flow.start_pass(Side::A);
         let out = net.forward_each(&x, capture, |li, layer| {
             if let Some(a_rows) = layer.take_a_stat() {
                 flow.offer(Side::A, state_of(li), || local_factor_a(&a_rows));
@@ -898,7 +898,7 @@ fn train_segment(
         let mut grad_pending: Vec<(Vec<GradSegment>, PendingOp)> = Vec::new();
         let mut grad_buf: Vec<f64> = Vec::new();
         let mut grad_segments: Vec<GradSegment> = Vec::new();
-        flow.start_pass();
+        flow.start_pass(Side::G);
         let backward_span = obs.span(Phase::FfBp);
         net.backward_each(&grad, |li, layer| {
             if let Some((g_rows, n)) = layer.take_g_stat() {
@@ -1453,29 +1453,11 @@ mod tests {
     }
 
     #[test]
-    fn schedule_table_rows() {
-        // LBP in the const table is the placement module's default.
+    fn table_lbp_is_the_placement_default() {
         assert_eq!(
             Algorithm::SpdKfac.schedule().placement,
             PlacementStrategy::default()
         );
-        let bulk = [Algorithm::SSgd, Algorithm::DKfac, Algorithm::MpdKfac];
-        for algorithm in bulk {
-            assert_eq!(algorithm.schedule().factor_comm, FactorComm::Bulk);
-        }
-        assert_eq!(
-            Algorithm::EkfacSpd.schedule().preconditioner,
-            Preconditioner::Ekfac
-        );
-        // The config's fusion strategy only reaches pipelined rows.
-        let mut cfg = DistributedConfig::new(2, Algorithm::SpdKfac);
-        cfg.fusion = FusionStrategy::LayerWise;
-        assert_eq!(
-            cfg.schedule().factor_comm,
-            FactorComm::Pipelined(FusionStrategy::LayerWise)
-        );
-        cfg.algorithm = Algorithm::DKfac;
-        assert_eq!(cfg.schedule(), Algorithm::DKfac.schedule());
     }
 
     #[test]
