@@ -471,6 +471,27 @@ fn connect_retry(addr: &str, cfg: &TcpConfig, what: &str) -> Result<TcpStream, C
     )))
 }
 
+/// Sleep schedule for polling a non-blocking listener: 50 µs, doubling
+/// per empty poll up to 2 ms. A peer that dials promptly is accepted within
+/// microseconds instead of a fixed 2 ms tick; a long idle wait still wakes
+/// at most every 2 ms.
+struct PollBackoff(Duration);
+
+impl PollBackoff {
+    const FIRST: Duration = Duration::from_micros(50);
+    const CAP: Duration = Duration::from_millis(2);
+
+    fn new() -> Self {
+        PollBackoff(Self::FIRST)
+    }
+
+    /// Sleeps for the current interval, then doubles it up to the cap.
+    fn wait(&mut self) {
+        std::thread::sleep(self.0);
+        self.0 = (self.0 * 2).min(Self::CAP);
+    }
+}
+
 /// Accepts one connection, polling until `deadline`.
 fn accept_deadline(
     listener: &TcpListener,
@@ -480,6 +501,7 @@ fn accept_deadline(
     listener
         .set_nonblocking(true)
         .map_err(|e| CommError::from_io("listener set_nonblocking", e))?;
+    let mut backoff = PollBackoff::new();
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -493,7 +515,7 @@ fn accept_deadline(
                 if Instant::now() >= deadline {
                     return Err(CommError::Timeout(format!("accept from {what} timed out")));
                 }
-                std::thread::sleep(Duration::from_millis(2));
+                backoff.wait();
             }
             Err(e) => return Err(CommError::from_io(&format!("accept from {what}"), e)),
         }
@@ -971,12 +993,14 @@ impl ElasticRendezvous {
         let mut pending: Vec<HeldMember> = Vec::new();
         let mut rejoined: Vec<HeldMember> = Vec::new();
         let mut window_ends: Option<Instant> = None;
+        let mut backoff = PollBackoff::new();
         loop {
             if handle.stop.load(Ordering::SeqCst) {
                 return Ok(());
             }
             match self.listener.accept() {
                 Ok((stream, _)) => {
+                    backoff = PollBackoff::new();
                     let status = ElasticStatus {
                         epoch,
                         world,
@@ -1000,9 +1024,7 @@ impl ElasticRendezvous {
                         }
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => backoff.wait(),
                 Err(e) => return Err(CommError::from_io("elastic rendezvous accept", e)),
             }
 
@@ -1179,6 +1201,18 @@ pub fn elastic_connect(cfg: &TcpConfig, intent: &JoinIntent) -> Result<ElasticJo
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn poll_backoff_doubles_from_50us_to_a_2ms_cap() {
+        let mut b = PollBackoff::new();
+        let mut seen = vec![b.0];
+        for _ in 0..7 {
+            b.wait();
+            seen.push(b.0);
+        }
+        let us: Vec<u128> = seen.iter().map(Duration::as_micros).collect();
+        assert_eq!(us, [50, 100, 200, 400, 800, 1600, 2000, 2000]);
+    }
 
     #[test]
     fn frames_round_trip() {

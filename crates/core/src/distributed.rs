@@ -26,12 +26,13 @@
 use crate::calibrate::Calibrator;
 use crate::ekfac::precondition_ekfac;
 use crate::elastic::{ElasticPolicy, FactorCheckpoint, MembershipSpan, TrainCheckpoint};
+use crate::error::FactorSide;
 use crate::factors::{local_factor_a, local_factor_g, FactorState};
 use crate::fusion::{self, FactorPipeline, FusionController, FusionStrategy};
 use crate::optimizer::KfacConfig;
 use crate::perf::{AlphaBetaModel, ExpInverseModel};
 use crate::placement::{self, LbpWeight, PlacementStrategy, TensorAssignment};
-use crate::precond::{apply_kl_clip, build_directions};
+use crate::precond::{apply_kl_clip, precondition_gradients, PrecondScratch};
 use crate::runtime::{self, ReplanController, ReplanPolicy};
 use spdkfac_collectives::{
     connect_elastic, elastic_poll, Backend, CommError, CommGroup, JoinIntent, PendingOp, TcpConfig,
@@ -49,7 +50,7 @@ use std::time::Instant;
 
 /// An in-flight fused factor all-reduce: the `(state, side)` factors it
 /// carries, their packed lengths, and the async handle to wait on.
-type PendingFactors = (Vec<(usize, Side)>, Vec<usize>, PendingOp);
+type PendingFactors = (Vec<(usize, FactorSide)>, Vec<usize>, PendingOp);
 
 /// Which training algorithm the workers run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -400,27 +401,6 @@ fn local_train_impl(
     result.expect("rank 0 result missing")
 }
 
-/// Which Kronecker factor of a layer: `A` (input side, captured in forward)
-/// or `G` (output-gradient side, captured in backward). Also the index of
-/// the pass that captures it.
-#[derive(Debug, Clone, Copy)]
-enum Side {
-    A,
-    G,
-}
-
-impl Side {
-    /// Placement tensors interleave the layers' factors: `A_l` is tensor
-    /// `2l`, `G_l` is tensor `2l + 1`.
-    fn of_tensor(t: usize) -> Side {
-        if t.is_multiple_of(2) {
-            Side::A
-        } else {
-            Side::G
-        }
-    }
-}
-
 /// One iteration's Kronecker factors on their way to the all-reduce: the
 /// factor pass of §IV-A, written once for `A` (offered from the forward
 /// hooks) and `G` (from the backward hooks). Each factor is offered to its
@@ -435,7 +415,7 @@ struct FactorFlow<'a> {
     ctls: Option<[FusionController; 2]>,
     /// Factors offered but not yet sent, with their `(state, side)`.
     held: Vec<SymPacked>,
-    members: Vec<(usize, Side)>,
+    members: Vec<(usize, FactorSide)>,
     /// Per pass, each factor's ready time since the pass began: the
     /// measured pipelines the fusion plans are agreed on.
     ready: [Vec<f64>; 2],
@@ -465,8 +445,8 @@ impl<'a> FactorFlow<'a> {
     /// Starts `side`'s pass: ready times are measured from here. A
     /// pipelined `A` pass must have sent every factor before `G` begins,
     /// so no message mixes the two passes.
-    fn start_pass(&mut self, side: Side) {
-        if let (Some(ctls), Side::G) = (&self.ctls, side) {
+    fn start_pass(&mut self, side: FactorSide) {
+        if let (Some(ctls), FactorSide::G) = (&self.ctls, side) {
             assert!(
                 ctls[0].is_drained() && self.held.is_empty(),
                 "unflushed A-factor bucket"
@@ -476,7 +456,7 @@ impl<'a> FactorFlow<'a> {
     }
 
     /// Computes state `si`'s `side` factor and offers it to the pass.
-    fn offer(&mut self, side: Side, si: usize, factor: impl FnOnce() -> Matrix) {
+    fn offer(&mut self, side: FactorSide, si: usize, factor: impl FnOnce() -> Matrix) {
         let pass = side as usize;
         let pos = self.ready[pass].len();
         self.ready[pass].push(self.pass_start.elapsed().as_secs_f64());
@@ -492,8 +472,8 @@ impl<'a> FactorFlow<'a> {
             .is_some_and(|ctls| ctls[pass].offer(pos).is_some());
         if filled {
             self.send(Some(match side {
-                Side::A => "a",
-                Side::G => "g",
+                FactorSide::A => "a",
+                FactorSide::G => "g",
             }));
         }
     }
@@ -539,13 +519,13 @@ impl Preconditioner {
 
     /// The per-tensor operation on one factor of `st`, flattened for its
     /// broadcast: the packed damped inverse (K-FAC) or `Q‖λ` (EKFAC).
-    fn compute(self, st: &FactorState, side: Side, damping: f64) -> Result<Vec<f64>, String> {
+    fn compute(self, st: &FactorState, side: FactorSide, damping: f64) -> Result<Vec<f64>, String> {
         match self {
             Preconditioner::None => unreachable!("first-order schedules have no per-tensor work"),
             Preconditioner::Kfac => {
                 let damped = match side {
-                    Side::A => st.damped_a(damping),
-                    Side::G => st.damped_g(damping),
+                    FactorSide::A => st.damped_a(damping),
+                    FactorSide::G => st.damped_g(damping),
                 };
                 let inv =
                     chol::spd_inverse(&damped).map_err(|e| format!("inversion failed: {e}"))?;
@@ -553,8 +533,8 @@ impl Preconditioner {
             }
             Preconditioner::Ekfac => {
                 let factor = match side {
-                    Side::A => st.factor_a(),
-                    Side::G => st.factor_g(),
+                    FactorSide::A => st.factor_a(),
+                    FactorSide::G => st.factor_g(),
                 }
                 .expect("no factor statistics");
                 let e = sym_eig(factor).map_err(|e| format!("eigendecomposition failed: {e}"))?;
@@ -575,16 +555,12 @@ impl Preconditioner {
         states: &mut [FactorState],
         bases: &mut [Option<(Matrix, Vec<f64>)>],
     ) {
-        let st = &mut states[t / 2];
-        match (self, Side::of_tensor(t)) {
-            (Preconditioner::None, _) => unreachable!("first-order schedules install nothing"),
-            (Preconditioner::Kfac, Side::A) => {
-                st.set_a_inv(SymPacked::from_vec(d, data).to_matrix())
+        match self {
+            Preconditioner::None => unreachable!("first-order schedules install nothing"),
+            Preconditioner::Kfac => {
+                states[t / 2].set_inv_packed(FactorSide::of_tensor(t), d, &data)
             }
-            (Preconditioner::Kfac, Side::G) => {
-                st.set_g_inv(SymPacked::from_vec(d, data).to_matrix())
-            }
-            (Preconditioner::Ekfac, _) => {
+            Preconditioner::Ekfac => {
                 let values = data.split_off(d * d);
                 bases[t] = Some((Matrix::from_vec(d, d, data), values));
             }
@@ -852,6 +828,8 @@ fn train_segment(
     // last completed iteration. SPMD-safe: every rank resumes from the same
     // handed-off state.
     losses.truncate(seg_start);
+    // Preconditioning buffers, reused by every iteration of the segment.
+    let mut scratch = PrecondScratch::default();
     for iter in seg_start..iters {
         let flight_iter_start = flight.now();
         let start = (iter * batch) % (shard.len() - batch + 1);
@@ -877,10 +855,10 @@ fn train_segment(
         let mut flow = FactorFlow::new(comm, obs, ctls, nlayers);
         comm.set_phase(Phase::FactorComm);
         let forward_span = obs.span(Phase::FfBp);
-        flow.start_pass(Side::A);
+        flow.start_pass(FactorSide::A);
         let out = net.forward_each(&x, capture, |li, layer| {
             if let Some(a_rows) = layer.take_a_stat() {
-                flow.offer(Side::A, state_of(li), || local_factor_a(&a_rows));
+                flow.offer(FactorSide::A, state_of(li), || local_factor_a(&a_rows));
             }
         });
         drop(forward_span);
@@ -898,11 +876,11 @@ fn train_segment(
         let mut grad_pending: Vec<(Vec<GradSegment>, PendingOp)> = Vec::new();
         let mut grad_buf: Vec<f64> = Vec::new();
         let mut grad_segments: Vec<GradSegment> = Vec::new();
-        flow.start_pass(Side::G);
+        flow.start_pass(FactorSide::G);
         let backward_span = obs.span(Phase::FfBp);
         net.backward_each(&grad, |li, layer| {
             if let Some((g_rows, n)) = layer.take_g_stat() {
-                flow.offer(Side::G, state_of(li), || local_factor_g(&g_rows, n));
+                flow.offer(FactorSide::G, state_of(li), || local_factor_g(&g_rows, n));
             }
             for (pi, p) in layer.params().iter().enumerate() {
                 grad_segments.push((li, pi, p.grad.as_slice().len()));
@@ -947,19 +925,13 @@ fn train_segment(
             let data = handle.wait()?.data;
             let mut off = 0usize;
             for ((si, side), sz) in members.into_iter().zip(sizes) {
-                let packed = data[off..off + sz].to_vec();
-                off += sz;
                 let (a, g) = dims[si];
-                match side {
-                    Side::A => states[si].update_a(
-                        SymPacked::from_vec(a, packed).to_matrix(),
-                        cfg.kfac.stat_decay,
-                    ),
-                    Side::G => states[si].update_g(
-                        SymPacked::from_vec(g, packed).to_matrix(),
-                        cfg.kfac.stat_decay,
-                    ),
-                }
+                let d = match side {
+                    FactorSide::A => a,
+                    FactorSide::G => g,
+                };
+                states[si].update_packed(side, d, &data[off..off + sz], cfg.kfac.stat_decay);
+                off += sz;
             }
         }
 
@@ -975,7 +947,7 @@ fn train_segment(
                 // (dimension, duration) pairs off these.
                 let _inv = obs.span(Phase::InverseComp).map(|g| g.sized(inv_dims[t]));
                 let result = precond
-                    .compute(&states[t / 2], Side::of_tensor(t), cfg.kfac.damping)
+                    .compute(&states[t / 2], FactorSide::of_tensor(t), cfg.kfac.damping)
                     .unwrap_or_else(|e| panic!("rank {rank}: tensor {t}: {e}"));
                 results[t] = Some(result);
             }
@@ -1012,24 +984,25 @@ fn train_segment(
 
         // ---------- Update -------------------------------------------------
         let update_span = obs.labeled_span(Phase::Update, format!("iter{iter}"));
-        if capture {
-            let (mut directions, raw) = if precond == Preconditioner::Ekfac {
-                build_ekfac_directions(
-                    net,
-                    &state_of_layer,
-                    ekfac_bases,
-                    ekfac_scales,
-                    cfg.kfac.stat_decay,
-                    cfg.kfac.damping,
-                )
-            } else {
-                build_directions(net, &state_of_layer, states)
-            };
+        if precond == Preconditioner::Ekfac {
+            let mut dirs = build_ekfac_directions(
+                net,
+                &state_of_layer,
+                ekfac_bases,
+                ekfac_scales,
+                cfg.kfac.stat_decay,
+                cfg.kfac.damping,
+            );
             if let Some(clip) = cfg.kfac.kl_clip {
-                apply_kl_clip(&mut directions, &raw, cfg.kfac.lr, clip);
+                let grads = net.parameters().into_iter().map(|p| &p.grad);
+                apply_kl_clip(&mut dirs, grads, cfg.kfac.lr, clip);
             }
-            sgd.step_with_directions(&mut net.parameters_mut(), &directions);
+            sgd.step_with_directions(&mut net.parameters_mut(), &dirs);
         } else {
+            if capture {
+                let kl_clip = cfg.kfac.kl_clip.map(|clip| (cfg.kfac.lr, clip));
+                precondition_gradients(net, &state_of_layer, states, kl_clip, &mut scratch);
+            }
             sgd.step(&mut net.parameters_mut());
         }
         drop(update_span);
@@ -1362,9 +1335,8 @@ fn build_ekfac_directions(
     scales: &mut [Option<Matrix>],
     stat_decay: f64,
     damping: f64,
-) -> (Vec<Matrix>, Vec<Matrix>) {
+) -> Vec<Matrix> {
     let mut directions = Vec::new();
-    let mut raw = Vec::new();
     for (li, layer) in net.layers().iter().enumerate() {
         let params = layer.params();
         match state_of_layer.get(li).copied().flatten() {
@@ -1381,7 +1353,6 @@ fn build_ekfac_directions(
                 scale.ema_update(stat_decay, &sq);
                 let scale = scales[si].as_ref().expect("scale");
                 for (pi, p) in params.iter().enumerate() {
-                    raw.push(p.grad.clone());
                     if pi == 0 {
                         directions.push(precondition_ekfac(&p.grad, q_a, q_g, scale, damping));
                     } else {
@@ -1395,15 +1366,10 @@ fn build_ekfac_directions(
                     }
                 }
             }
-            _ => {
-                for p in params {
-                    raw.push(p.grad.clone());
-                    directions.push(p.grad.clone());
-                }
-            }
+            _ => directions.extend(params.iter().map(|p| p.grad.clone())),
         }
     }
-    (directions, raw)
+    directions
 }
 
 /// Clamps a measured time series to be non-decreasing (averaging across

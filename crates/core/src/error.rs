@@ -25,13 +25,27 @@ pub enum KfacError {
     },
 }
 
-/// Which Kronecker factor of a layer an error refers to.
+/// Which Kronecker factor of a layer: `A` (input side, captured in the
+/// forward pass) or `G` (output-gradient side, captured in the backward
+/// pass). The discriminant is the index of the pass that captures it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FactorSide {
     /// The input-side factor `A_{l-1}`.
     A,
     /// The output-side factor `G_l`.
     G,
+}
+
+impl FactorSide {
+    /// Placement tensors interleave the layers' factors: `A_l` is tensor
+    /// `2l`, `G_l` is tensor `2l + 1`.
+    pub(crate) fn of_tensor(t: usize) -> FactorSide {
+        if t.is_multiple_of(2) {
+            FactorSide::A
+        } else {
+            FactorSide::G
+        }
+    }
 }
 
 impl fmt::Display for KfacError {

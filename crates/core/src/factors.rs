@@ -2,7 +2,7 @@
 
 use crate::error::{FactorSide, KfacError};
 use spdkfac_nn::KfacCapture;
-use spdkfac_tensor::{chol, Matrix};
+use spdkfac_tensor::{chol, sym, Matrix};
 
 /// Per-layer Kronecker-factor state: exponential moving averages of
 /// `A = E[a aᵀ]` and `G = E[ĝ ĝᵀ]` plus their damped inverses.
@@ -60,6 +60,36 @@ impl FactorState {
             Some(g) => g.ema_update(stat_decay, &g_new),
             None => self.g = Some(g_new),
         }
+    }
+
+    /// Folds a fresh `side` factor that arrives as its packed upper triangle
+    /// (the all-reduce's wire format) into the running average, without a
+    /// dense copy. Same bits as [`Self::update_a`] / [`Self::update_g`] on
+    /// the unpacked `d × d` matrix.
+    pub fn update_packed(&mut self, side: FactorSide, d: usize, packed: &[f64], stat_decay: f64) {
+        let slot = match side {
+            FactorSide::A => &mut self.a,
+            FactorSide::G => &mut self.g,
+        };
+        match slot {
+            Some(m) => sym::ema_update_packed(m, stat_decay, packed),
+            None => {
+                let mut m = Matrix::zeros(d, d);
+                sym::unpack_into(packed, &mut m);
+                *slot = Some(m);
+            }
+        }
+    }
+
+    /// Installs a `d × d` inverse of the damped `side` factor from its
+    /// packed upper triangle (the broadcast's wire format), reusing the
+    /// storage of the inverse it replaces.
+    pub fn set_inv_packed(&mut self, side: FactorSide, d: usize, packed: &[f64]) {
+        let slot = match side {
+            FactorSide::A => &mut self.a_inv,
+            FactorSide::G => &mut self.g_inv,
+        };
+        sym::unpack_into(packed, slot.get_or_insert_with(|| Matrix::zeros(d, d)));
     }
 
     /// Current running factor `A`, if any update has happened.
@@ -155,6 +185,7 @@ pub fn local_factor_g(g_rows: &Matrix, batch: usize) -> Matrix {
 mod tests {
     use super::*;
     use spdkfac_tensor::rng::MatrixRng;
+    use spdkfac_tensor::SymPacked;
 
     fn capture(seed: u64) -> KfacCapture {
         let mut rng = MatrixRng::new(seed);
@@ -172,6 +203,31 @@ mod tests {
         st.update_from_capture(&cap, 0.95);
         assert!(st.factor_a().unwrap().max_abs_diff(&cap.factor_a()) < 1e-15);
         assert!(st.factor_g().unwrap().max_abs_diff(&cap.factor_g()) < 1e-15);
+    }
+
+    /// Factors and inverses installed from the packed wire format match the
+    /// dense path bit for bit, and a second install reuses the storage.
+    #[test]
+    fn packed_installs_match_dense_updates() {
+        let (c1, c2) = (capture(1), capture(2));
+        let (mut dense, mut packed) = (FactorState::new(0), FactorState::new(0));
+        for cap in [&c1, &c2] {
+            dense.update_factors(cap.factor_a(), cap.factor_g(), 0.9);
+            let pa = SymPacked::from_matrix(&cap.factor_a());
+            let pg = SymPacked::from_matrix(&cap.factor_g());
+            packed.update_packed(FactorSide::A, 4, pa.as_slice(), 0.9);
+            packed.update_packed(FactorSide::G, 3, pg.as_slice(), 0.9);
+        }
+        assert_eq!(packed.factor_a(), dense.factor_a());
+        assert_eq!(packed.factor_g(), dense.factor_g());
+
+        let inv = chol::spd_inverse(&dense.damped_a(0.1)).unwrap();
+        let wire = SymPacked::from_matrix(&inv);
+        packed.set_inv_packed(FactorSide::A, 4, wire.as_slice());
+        let storage = packed.a_inv().unwrap().as_slice().as_ptr();
+        packed.set_inv_packed(FactorSide::A, 4, wire.as_slice());
+        assert_eq!(packed.a_inv(), Some(&wire.to_matrix()));
+        assert_eq!(packed.a_inv().unwrap().as_slice().as_ptr(), storage);
     }
 
     #[test]

@@ -2,9 +2,10 @@
 
 use crate::error::KfacError;
 use crate::factors::FactorState;
-use crate::precond::apply_kl_clip;
+use crate::precond::{precondition_gradients, PrecondScratch};
 use spdkfac_nn::optim::Sgd;
 use spdkfac_nn::Sequential;
+use spdkfac_tensor::Matrix;
 
 /// Levenberg–Marquardt damping adaptation (Martens & Grosse 2015, §6.5):
 /// every `interval` steps compare the actual loss change against the
@@ -84,6 +85,8 @@ pub struct KfacOptimizer {
     /// `state_of_layer[layer_index] = Some(state_index)`.
     state_of_layer: Vec<Option<usize>>,
     sgd: Sgd,
+    /// Preconditioning buffers, reused across steps.
+    scratch: PrecondScratch,
     steps: usize,
     /// Current damping (equals `cfg.damping` unless LM adaptation moves it).
     damping: f64,
@@ -102,6 +105,7 @@ impl KfacOptimizer {
         }
         KfacOptimizer {
             sgd: Sgd::new(cfg.lr, cfg.momentum, cfg.weight_decay),
+            scratch: PrecondScratch::default(),
             damping: cfg.damping,
             cfg,
             states,
@@ -158,17 +162,25 @@ impl KfacOptimizer {
                 st.refresh_inverses(self.damping)?;
             }
         }
-        // 3. Build preconditioned update directions in parameter order.
-        let (mut directions, raw) =
-            crate::precond::build_directions(net, &self.state_of_layer, &self.states);
-        // 4. Optional KL clip, then the SGD-style update.
-        if let Some(clip) = self.cfg.kl_clip {
-            apply_kl_clip(&mut directions, &raw, self.cfg.lr, clip);
-        }
-        self.sgd
-            .step_with_directions(&mut net.parameters_mut(), &directions);
+        // 3. Replace the gradients by preconditioned update directions.
+        self.precondition(net);
+        // 4. The SGD-style update along them.
+        self.sgd.step(&mut net.parameters_mut());
         self.steps += 1;
         Ok(())
+    }
+
+    /// Preconditions every gradient in place, then applies the optional KL
+    /// clip.
+    fn precondition(&mut self, net: &mut Sequential) {
+        let kl_clip = self.cfg.kl_clip.map(|clip| (self.cfg.lr, clip));
+        precondition_gradients(
+            net,
+            &self.state_of_layer,
+            &self.states,
+            kl_clip,
+            &mut self.scratch,
+        );
     }
 
     /// Like [`KfacOptimizer::step`], but also runs Levenberg–Marquardt
@@ -203,11 +215,8 @@ impl KfacOptimizer {
         for st in &mut self.states {
             st.refresh_inverses(self.damping)?;
         }
-        let (mut directions, raw) =
-            crate::precond::build_directions(net, &self.state_of_layer, &self.states);
-        if let Some(clip) = self.cfg.kl_clip {
-            apply_kl_clip(&mut directions, &raw, self.cfg.lr, clip);
-        }
+        let raw: Vec<Matrix> = net.parameters().iter().map(|p| p.grad.clone()).collect();
+        self.precondition(net);
         // Quadratic model of the step δ = −lr·d:
         //   M(δ) − M(0) = ∇ᵀδ + ½ δᵀ(F̂+γI)δ
         // with F̂δ computed layer-wise via the Kronecker identity
@@ -219,8 +228,8 @@ impl KfacOptimizer {
             let params = layer.params();
             let state = self.state_of_layer[li].map(|si| &self.states[si]);
             for (pi, p) in params.iter().enumerate() {
-                let d = &directions[di];
-                let g = &p.grad;
+                let d = &p.grad;
+                let g = &raw[di];
                 let dot_gd: f64 = g
                     .as_slice()
                     .iter()
@@ -247,8 +256,7 @@ impl KfacOptimizer {
             }
         }
         let loss_before = eval_loss(net);
-        self.sgd
-            .step_with_directions(&mut net.parameters_mut(), &directions);
+        self.sgd.step(&mut net.parameters_mut());
         let loss_after = eval_loss(net);
         self.steps += 1;
         // Reduction ratio ρ; only adapt when the model predicts a decrease.

@@ -75,31 +75,15 @@ impl Sgd {
     ///
     /// Panics if the parameter count or shapes change between calls.
     pub fn step(&mut self, params: &mut [&mut Param]) {
-        if self.velocity.is_empty() {
-            self.velocity = params
-                .iter()
-                .map(|p| Matrix::zeros(p.value.rows(), p.value.cols()))
-                .collect();
-        }
+        self.init_velocity(params);
         assert_eq!(
             self.velocity.len(),
             params.len(),
             "Sgd::step: parameter count changed"
         );
         for (p, v) in params.iter_mut().zip(self.velocity.iter_mut()) {
-            assert_eq!(
-                p.value.shape(),
-                v.shape(),
-                "Sgd::step: parameter shape changed"
-            );
-            // v = μ v + (g + λ w)
-            v.scale(self.momentum);
-            v.axpy(1.0, &p.grad);
-            if self.weight_decay != 0.0 {
-                v.axpy(self.weight_decay, &p.value);
-            }
-            // w -= α v
-            p.value.axpy(-self.lr, v);
+            let Param { value, grad } = &mut **p;
+            momentum_step(value, v, grad, self.momentum, self.weight_decay, self.lr);
         }
     }
 
@@ -111,24 +95,53 @@ impl Sgd {
     /// Panics if counts or shapes mismatch.
     pub fn step_with_directions(&mut self, params: &mut [&mut Param], directions: &[Matrix]) {
         assert_eq!(params.len(), directions.len(), "direction count mismatch");
+        self.init_velocity(params);
+        for ((p, v), d) in params
+            .iter_mut()
+            .zip(self.velocity.iter_mut())
+            .zip(directions.iter())
+        {
+            momentum_step(
+                &mut p.value,
+                v,
+                d,
+                self.momentum,
+                self.weight_decay,
+                self.lr,
+            );
+        }
+    }
+
+    /// Zeroed momentum buffers on the first step.
+    fn init_velocity(&mut self, params: &[&mut Param]) {
         if self.velocity.is_empty() {
             self.velocity = params
                 .iter()
                 .map(|p| Matrix::zeros(p.value.rows(), p.value.cols()))
                 .collect();
         }
-        for ((p, v), d) in params
-            .iter_mut()
-            .zip(self.velocity.iter_mut())
-            .zip(directions.iter())
-        {
-            v.scale(self.momentum);
-            v.axpy(1.0, d);
-            if self.weight_decay != 0.0 {
-                v.axpy(self.weight_decay, &p.value);
-            }
-            p.value.axpy(-self.lr, v);
+    }
+}
+
+/// `v ← μ·v + (d + λ·w)`, `w ← w − α·v` in one pass over the three
+/// buffers: per element the operations, and their rounding, of
+/// `v.scale(μ)`, `v.axpy(1, d)`, `v.axpy(λ, w)` and `w.axpy(−α, v)`.
+fn momentum_step(w: &mut Matrix, v: &mut Matrix, d: &Matrix, mu: f64, wd: f64, lr: f64) {
+    assert_eq!(w.shape(), v.shape(), "Sgd: parameter shape changed");
+    assert_eq!(d.shape(), v.shape(), "Sgd: direction shape mismatch");
+    let neg_lr = -lr;
+    let elems = w
+        .as_mut_slice()
+        .iter_mut()
+        .zip(v.as_mut_slice())
+        .zip(d.as_slice());
+    for ((wi, vi), &di) in elems {
+        *vi *= mu;
+        *vi += 1.0 * di;
+        if wd != 0.0 {
+            *vi += wd * *wi;
         }
+        *wi += neg_lr * *vi;
     }
 }
 

@@ -13,9 +13,16 @@
 //!   microkernel restricted to the diagonal-and-right panels of each row
 //!   block; small ones use an unpacked block-pair loop.
 //!
-//! The inner loops (microkernel, dot, axpy) dispatch once at runtime to
-//! AVX2+FMA versions when the CPU supports them; the portable fallbacks
-//! compile on every architecture.
+//! The packed kernels pick one microkernel per process ([`Kernel`]): an
+//! AVX-512F `8 × 16` tile, an AVX2+FMA `4 × 8` tile, or the portable `4 × 8`
+//! fallback that compiles on every architecture. The packing routines take
+//! their panel shape from the selected tile. Every C element is the same
+//! chain of fused multiply-adds from zero over one KC block, added into C
+//! block by block, so the two SIMD tiles give bit-identical results. `dot`,
+//! `axpy` and `dot_tile` dispatch to AVX2+FMA versions on their own.
+//!
+//! Packing buffers are per-thread and reused across calls: at most one
+//! `KC × NC` B block and one `KC × MC` A block per thread.
 //!
 //! Row blocks of the output are distributed over the persistent pool
 //! ([`crate::pool`]); each output element is produced by exactly one task in
@@ -27,16 +34,19 @@
 //! production code should never enable it.
 
 use crate::pool::{self, SharedSlice};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
+use std::thread::LocalKey;
 
-/// Runtime-dispatched AVX2+FMA inner loops. The crate is compiled for
-/// baseline x86-64 (SSE2), so the hot loops here are duplicated behind
+/// Runtime-dispatched SIMD inner loops. The crate is compiled for baseline
+/// x86-64 (SSE2), so the hot loops here are duplicated behind
 /// `#[target_feature]` and selected once at runtime; every other
-/// architecture (and pre-AVX2 hardware) falls back to the portable
-/// kernels below.
+/// architecture (and pre-AVX2 hardware) falls back to the portable kernels
+/// below.
 #[cfg(target_arch = "x86_64")]
 mod simd {
-    use super::{MR, NR, TILE_C, TILE_R};
+    use super::{TILE_C, TILE_R};
     use std::arch::x86_64::*;
     use std::sync::OnceLock;
 
@@ -46,28 +56,35 @@ mod simd {
         *AVAIL.get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"))
     }
 
-    /// `MR × NR` rank-`kc` update on packed panels: 8 × 256-bit FMA
+    /// One-time CPUID probe for the AVX-512F microkernel.
+    pub fn avx512_available() -> bool {
+        static AVAIL: OnceLock<bool> = OnceLock::new();
+        *AVAIL.get_or_init(|| is_x86_feature_detected!("avx512f"))
+    }
+
+    /// `4 × 8` rank-`kc` update on packed panels: 8 × 256-bit FMA
     /// accumulators (4 rows × 2 vectors of 4 doubles).
     ///
     /// # Safety
     /// Caller must have verified [`available`]; panels must hold at least
-    /// `kc * MR` / `kc * NR` elements.
+    /// `kc * 4` / `kc * 8` elements.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn microkernel(
+    pub unsafe fn microkernel_avx2(
         kc: usize,
         apanel: &[f64],
         bpanel: &[f64],
-        acc: &mut [[f64; NR]; MR],
+        acc: &mut [[f64; 8]; 4],
     ) {
+        debug_assert!(apanel.len() >= kc * 4 && bpanel.len() >= kc * 8);
         unsafe {
             let ap = apanel.as_ptr();
             let bp = bpanel.as_ptr();
-            let mut c = [[_mm256_setzero_pd(); 2]; MR];
+            let mut c = [[_mm256_setzero_pd(); 2]; 4];
             for p in 0..kc {
-                let b0 = _mm256_loadu_pd(bp.add(p * NR));
-                let b1 = _mm256_loadu_pd(bp.add(p * NR + 4));
+                let b0 = _mm256_loadu_pd(bp.add(p * 8));
+                let b1 = _mm256_loadu_pd(bp.add(p * 8 + 4));
                 for (r, cr) in c.iter_mut().enumerate() {
-                    let a = _mm256_set1_pd(*ap.add(p * MR + r));
+                    let a = _mm256_set1_pd(*ap.add(p * 4 + r));
                     cr[0] = _mm256_fmadd_pd(a, b0, cr[0]);
                     cr[1] = _mm256_fmadd_pd(a, b1, cr[1]);
                 }
@@ -75,6 +92,42 @@ mod simd {
             for (dst, cr) in acc.iter_mut().zip(c.iter()) {
                 _mm256_storeu_pd(dst.as_mut_ptr(), cr[0]);
                 _mm256_storeu_pd(dst.as_mut_ptr().add(4), cr[1]);
+            }
+        }
+    }
+
+    /// `8 × 16` rank-`kc` update on packed panels: 16 × 512-bit FMA
+    /// accumulators (8 rows × 2 vectors of 8 doubles). Each accumulator
+    /// lane runs the same FMA chain as [`microkernel_avx2`], so the two
+    /// produce identical bits for every C element.
+    ///
+    /// # Safety
+    /// Caller must have verified [`avx512_available`]; panels must hold at
+    /// least `kc * 8` / `kc * 16` elements.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn microkernel_avx512(
+        kc: usize,
+        apanel: &[f64],
+        bpanel: &[f64],
+        acc: &mut [[f64; 16]; 8],
+    ) {
+        debug_assert!(apanel.len() >= kc * 8 && bpanel.len() >= kc * 16);
+        unsafe {
+            let ap = apanel.as_ptr();
+            let bp = bpanel.as_ptr();
+            let mut c = [[_mm512_setzero_pd(); 2]; 8];
+            for p in 0..kc {
+                let b0 = _mm512_loadu_pd(bp.add(p * 16));
+                let b1 = _mm512_loadu_pd(bp.add(p * 16 + 8));
+                for (r, cr) in c.iter_mut().enumerate() {
+                    let a = _mm512_set1_pd(*ap.add(p * 8 + r));
+                    cr[0] = _mm512_fmadd_pd(a, b0, cr[0]);
+                    cr[1] = _mm512_fmadd_pd(a, b1, cr[1]);
+                }
+            }
+            for (dst, cr) in acc.iter_mut().zip(c.iter()) {
+                _mm512_storeu_pd(dst.as_mut_ptr(), cr[0]);
+                _mm512_storeu_pd(dst.as_mut_ptr().add(8), cr[1]);
             }
         }
     }
@@ -207,29 +260,133 @@ mod simd {
     }
 }
 
-/// Microkernel tile height (rows of C per register tile).
-const MR: usize = 4;
-/// Microkernel tile width (cols of C per register tile).
-const NR: usize = 8;
 /// Rows (`x` operands) of a [`dot_tile`] block.
 pub(crate) const TILE_R: usize = 4;
 /// Columns (`y` operands) of a [`dot_tile`] block.
 pub(crate) const TILE_C: usize = 2;
-/// Rows of `op(A)` packed per task block; multiple of `MR`.
+/// Rows of `op(A)` packed per task block; multiple of every tile height.
 const MC: usize = 64;
 /// Depth (k) packed per cache block.
 const KC: usize = 256;
-/// Columns of `op(B)` packed per cache block.
+/// Columns of `op(B)` packed per cache block; multiple of every tile width.
 const NC: usize = 2048;
-/// Below this many multiply-adds, packing costs more than it saves.
-const SMALL_FLOPS: usize = 256 * 1024;
+/// At or below this many multiply-adds a GEMM takes the unpacked loop.
+/// The packed 8 × 16 tile is faster at every size measured (about 3× at
+/// 48³, still 2× at 8 × 27 × 27); the cut sits just above 48³ so that
+/// small products keep the unpacked loop's rounding (DESIGN.md, `gemm`).
+const SMALL_FLOPS: usize = 128 * 1024;
 /// Minimum multiply-adds before a parallel dispatch is worth it.
 const PAR_FLOPS: usize = 128 * 1024;
 /// Column-block edge for the small-size SYRK path.
 const SYRK_BLOCK: usize = 64;
 /// Above this many multiply-adds a SYRK routes through the packed
-/// microkernel (below it, the unpacked block-pair loop wins).
-const SYRK_PACK_FLOPS: usize = 512 * 1024;
+/// microkernel, which beats the block-pair loop at every size measured
+/// (3–4× at d = 48–64, 3× for a 2048 × 16 batch). The cut keeps
+/// products of up to 2¹⁶ multiply-adds on the block-pair loop's rounding
+/// (DESIGN.md, `gemm`).
+const SYRK_PACK_FLOPS: usize = 64 * 1024;
+
+/// A register-tile microkernel: writes the `MR × NR` block
+/// `acc[r][c] = Σ_p apanel[p·MR + r] · bpanel[p·NR + c]` over `kc` packed
+/// steps, each entry a chain of multiply-adds from zero in `p` order.
+///
+/// # Safety
+/// The CPU must have the kernel's target features (see [`Kernel`]) and the
+/// panels must hold at least `kc · MR` / `kc · NR` elements.
+type Micro<const MR: usize, const NR: usize> =
+    unsafe fn(usize, &[f64], &[f64], &mut [[f64; NR]; MR]);
+
+/// The microkernel family the packed GEMM/SYRK run on, probed once per
+/// process by [`Kernel::detect`].
+///
+/// | kernel   | tile    | accumulators      | needs         |
+/// |----------|---------|-------------------|---------------|
+/// | `Avx512` | 8 × 16  | 16 × 512-bit FMA  | `avx512f`     |
+/// | `Avx2`   | 4 × 8   | 8 × 256-bit FMA   | `avx2`, `fma` |
+/// | portable | 4 × 8   | autovectorized    | —             |
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kernel {
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    Portable,
+}
+
+impl Kernel {
+    /// The widest kernel this CPU runs.
+    fn detect() -> Kernel {
+        static KERNEL: OnceLock<Kernel> = OnceLock::new();
+        *KERNEL.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            {
+                if simd::avx512_available() {
+                    return Kernel::Avx512;
+                }
+                if simd::available() {
+                    return Kernel::Avx2;
+                }
+            }
+            Kernel::Portable
+        })
+    }
+}
+
+/// Evaluates `$body` with `$mk` bound to `$kernel`'s microkernel, so the
+/// generic packed code is instantiated once per tile shape. Asserts the
+/// CPU features each SIMD kernel's safety contract needs.
+macro_rules! dispatch {
+    ($kernel:expr, $mk:ident => $body:expr) => {
+        match $kernel {
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => {
+                assert!(
+                    simd::avx512_available(),
+                    "AVX-512F kernel on a CPU without it"
+                );
+                let $mk: Micro<8, 16> = simd::microkernel_avx512;
+                $body
+            }
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => {
+                assert!(simd::available(), "AVX2 kernel on a CPU without AVX2+FMA");
+                let $mk: Micro<4, 8> = simd::microkernel_avx2;
+                $body
+            }
+            Kernel::Portable => {
+                let $mk: Micro<4, 8> = microkernel_generic;
+                $body
+            }
+        }
+    };
+}
+
+thread_local! {
+    /// This thread's packed `op(A)` block (at most `KC × MC` elements).
+    static PACK_A: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+    /// This thread's packed `op(B)` block (at most `KC × NC` elements).
+    static PACK_B: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on the first `len` elements of this thread's packing buffer
+/// `cell`, growing it on first use. Its contents are stale: the packing
+/// routines overwrite every element the microkernel reads. A nested call
+/// that finds the buffer in use gets a fresh one instead.
+fn with_pack<R>(
+    cell: &'static LocalKey<RefCell<Vec<f64>>>,
+    len: usize,
+    f: impl FnOnce(&mut [f64]) -> R,
+) -> R {
+    cell.with(|c| match c.try_borrow_mut() {
+        Ok(mut buf) => {
+            if buf.len() < len {
+                buf.resize(len, 0.0);
+            }
+            f(&mut buf[..len])
+        }
+        Err(_) => f(&mut vec![0.0; len]),
+    })
+}
 
 static REFERENCE: AtomicBool = AtomicBool::new(false);
 
@@ -318,42 +475,133 @@ pub(crate) fn gemm(
     b: &[f64],
 ) -> Vec<f64> {
     let mut out = vec![0.0; m * n];
-    if m == 0 || n == 0 || k == 0 {
-        return out;
-    }
+    gemm_into(trans_a, trans_b, m, k, n, a, b, &mut out);
+    out
+}
+
+/// As [`gemm`], overwriting the caller's `m × n` buffer `out` (whatever it
+/// held) instead of allocating one. Bit-identical to [`gemm`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_into(
+    trans_a: bool,
+    trans_b: bool,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+) {
+    assert_eq!(out.len(), m * n, "gemm_into: output is not m × n");
+    // Any empty dimension lands here too.
     if m * n * k <= SMALL_FLOPS {
-        gemm_small(trans_a, trans_b, m, k, n, a, b, &mut out);
-        return out;
+        out.fill(0.0);
+        gemm_small(trans_a, trans_b, m, k, n, a, b, out);
+        return;
     }
-    let shared = SharedSlice::new(&mut out);
+    gemm_packed(Kernel::detect(), trans_a, trans_b, m, k, n, a, b, out);
+}
+
+/// [`packed`] on `kernel`'s microkernel: `out = op(A) · op(B)`.
+#[allow(clippy::too_many_arguments)]
+fn gemm_packed(
+    kernel: Kernel,
+    trans_a: bool,
+    trans_b: bool,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+) {
+    // SAFETY: `dispatch!` asserted `mk`'s CPU features.
+    dispatch!(kernel, mk => unsafe { packed(mk, trans_a, trans_b, m, k, n, a, b, out, false) });
+}
+
+/// The packed driver behind [`gemm_into`] and the SYRKs: writes
+/// `op(A) · op(B)` into the row-major `m × n` buffer `out` (whatever it
+/// held) with the `MR × NR` microkernel `mk`, packing each `KC`-deep slice
+/// of `op(B)` once per `NC` columns and each `MC`-row block of `op(A)` per
+/// task. `k` must be nonzero.
+///
+/// With `upper` set (square outputs only) each row block skips the B
+/// panels left of its diagonal: the upper triangle comes out exact and the
+/// lower one is garbage for the caller to overwrite. Each row block is
+/// owned by one task and k blocks stay sequential, so the result is
+/// bit-identical for any thread count.
+///
+/// # Safety
+/// The CPU must have `mk`'s target features (see [`Micro`]).
+#[allow(clippy::too_many_arguments)]
+unsafe fn packed<const MR: usize, const NR: usize>(
+    mk: Micro<MR, NR>,
+    trans_a: bool,
+    trans_b: bool,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    upper: bool,
+) {
     let row_blocks = m.div_ceil(MC);
-    let parallel = pool::is_parallel() && row_blocks > 1 && m * n * k >= PAR_FLOPS;
+    let work = if upper { m * n * k / 2 } else { m * n * k };
+    let parallel = pool::is_parallel() && row_blocks > 1 && work >= PAR_FLOPS;
+    let shared = SharedSlice::new(out);
     for jc in (0..n).step_by(NC) {
         let nc = (jc + NC).min(n) - jc;
-        let n_panels = nc.div_ceil(NR);
-        let mut bpack = vec![0.0; KC * n_panels * NR];
-        for kb in (0..k).step_by(KC) {
-            let kc = (kb + KC).min(k) - kb;
-            pack_b(trans_b, b, k, n, kb, kc, jc, nc, &mut bpack);
-            let body = |blk: usize| {
-                let i0 = blk * MC;
-                let mc = (i0 + MC).min(m) - i0;
-                let mut apack = vec![0.0; KC * MC];
-                pack_a(trans_a, a, m, k, i0, mc, kb, kc, &mut apack);
-                // SAFETY: each task owns row range [i0, i0 + mc).
-                let c = unsafe { shared.slice_mut(i0 * n..(i0 + mc) * n) };
-                block_multiply(&apack, &bpack, mc, kc, nc, jc, n, c, 0);
-            };
-            if parallel {
-                pool::parallel_for(row_blocks, body);
-            } else {
-                for blk in 0..row_blocks {
-                    body(blk);
+        with_pack(&PACK_B, KC * nc.div_ceil(NR) * NR, |bpack| {
+            for kb in (0..k).step_by(KC) {
+                let kc = (kb + KC).min(k) - kb;
+                // op(B)(p, j) is b[j·k + p] transposed, else b[p·n + j].
+                let (off, ld) = if trans_b {
+                    (jc * k + kb, k)
+                } else {
+                    (kb * n + jc, n)
+                };
+                pack::<NR>(&b[off..], ld, trans_b, nc, kc, bpack);
+                let bpack = &*bpack;
+                let body = |blk: usize| {
+                    let i0 = blk * MC;
+                    // Upper triangle: this row block only needs columns
+                    // j ≥ i0, rounded down to the owning NR panel. (`jc` is
+                    // a multiple of NC, itself a multiple of NR, so the
+                    // local offset stays panel-aligned.)
+                    let j_lo = if upper { (i0 / NR) * NR } else { 0 };
+                    if j_lo >= jc + nc {
+                        return;
+                    }
+                    let jr0 = j_lo.saturating_sub(jc);
+                    let mc = (i0 + MC).min(m) - i0;
+                    with_pack(&PACK_A, KC * MC, |apack| {
+                        // op(A)(i, p) is a[p·m + i] transposed, else a[i·k + p].
+                        let (off, ld) = if trans_a {
+                            (kb * m + i0, m)
+                        } else {
+                            (i0 * k + kb, k)
+                        };
+                        pack::<MR>(&a[off..], ld, !trans_a, mc, kc, apack);
+                        // SAFETY: each task owns row range [i0, i0 + mc).
+                        let c = unsafe { shared.slice_mut(i0 * n..(i0 + mc) * n) };
+                        // SAFETY: `mk`'s CPU features are this function's
+                        // precondition.
+                        unsafe {
+                            block_multiply(mk, apack, bpack, mc, kc, nc, jc, n, c, jr0, kb == 0)
+                        };
+                    });
+                };
+                if parallel {
+                    pool::parallel_for(row_blocks, body);
+                } else {
+                    for blk in 0..row_blocks {
+                        body(blk);
+                    }
                 }
             }
-        }
+        });
     }
-    out
 }
 
 /// Unpacked triple-loop for small products (still transpose-free).
@@ -376,6 +624,37 @@ fn gemm_small(
         }
     };
     match (trans_a, trans_b) {
+        (_, false) if n < 4 => {
+            // Narrower than one vector (matrix–vector products): `axpy`
+            // would run only its scalar tail. The same per-entry sum in the
+            // same order, for R rows at once so the add chains overlap.
+            // Adding +0.0 for a zero `a` entry matches skipping it: the sum
+            // starts at +0.0 and so is never −0.0.
+            const R: usize = 8;
+            for i0 in (0..m).step_by(R) {
+                let rows = (i0 + R).min(m) - i0;
+                // Row r of op(A) along p is `a[lane[r] + p · step]`; lanes
+                // past `rows` repeat the last row and are discarded.
+                let (step, lane): (usize, [usize; R]) = if trans_a {
+                    (m, std::array::from_fn(|r| i0 + r.min(rows - 1)))
+                } else {
+                    (1, std::array::from_fn(|r| (i0 + r.min(rows - 1)) * k))
+                };
+                for j in 0..n {
+                    let mut acc = [0.0f64; R];
+                    for p in 0..k {
+                        let bv = b[p * n + j];
+                        for (s, &l) in acc.iter_mut().zip(&lane) {
+                            let av = a[l + p * step];
+                            *s += if av != 0.0 { av * bv } else { 0.0 };
+                        }
+                    }
+                    for (r, &s) in acc.iter().enumerate().take(rows) {
+                        out[(i0 + r) * n + j] = s;
+                    }
+                }
+            }
+        }
         (_, false) => {
             // k-major accumulation over contiguous B rows.
             for i in 0..m {
@@ -385,8 +664,7 @@ fn gemm_small(
                     if av == 0.0 {
                         continue;
                     }
-                    let brow = &b[p * n..(p + 1) * n];
-                    axpy(av, brow, orow);
+                    axpy(av, &b[p * n..(p + 1) * n], orow);
                 }
             }
         }
@@ -501,74 +779,42 @@ fn dot_tile_generic(k: usize, x: [&[f64]; TILE_R], y: [&[f64]; TILE_C]) -> [[f64
     acc.map(|ar| ar.map(|l| (l[0] + l[1]) + (l[2] + l[3])))
 }
 
-/// Packs `mc` rows × `kc` depth of `op(A)` into `MR`-row panels,
-/// zero-padding the row remainder.
-#[allow(clippy::too_many_arguments)]
-fn pack_a(
-    trans_a: bool,
-    a: &[f64],
-    m: usize,
-    k: usize,
-    i0: usize,
-    mc: usize,
-    kb: usize,
+/// Packs `len` lanes × `kc` steps of a row-major operand into `W`-lane
+/// panels (panel stride `KC · W`, step-major inside a panel), zero-padding
+/// the last panel's missing lanes. Element (step `p`, lane `l`) is
+/// `src[l · ld + p]` when `lane_major`, else `src[p · ld + l]`; `src`
+/// starts at element (0, 0). Rows of `op(A)` and columns of `op(B)` are the
+/// lanes of the A and B panels.
+fn pack<const W: usize>(
+    src: &[f64],
+    ld: usize,
+    lane_major: bool,
+    len: usize,
     kc: usize,
-    apack: &mut [f64],
+    out: &mut [f64],
 ) {
-    let _ = m;
-    for (panel, ir) in (0..mc).step_by(MR).enumerate() {
-        let rows = (ir + MR).min(mc) - ir;
-        let dst = &mut apack[panel * KC * MR..];
-        for p in 0..kc {
-            let d = &mut dst[p * MR..p * MR + MR];
-            if trans_a {
-                // op(A)(i, p) = a[(kb + p) * m + i]  (contiguous in i).
-                let src = &a[(kb + p) * m + i0 + ir..];
-                d[..rows].copy_from_slice(&src[..rows]);
-            } else {
-                for (r, dv) in d.iter_mut().enumerate().take(rows) {
-                    *dv = a[(i0 + ir + r) * k + kb + p];
+    for (panel, l0) in (0..len).step_by(W).enumerate() {
+        let lanes = (l0 + W).min(len) - l0;
+        let dst = &mut out[panel * KC * W..panel * KC * W + kc * W];
+        if lane_major {
+            // One contiguous source run per lane, scattered at stride W.
+            for l in 0..W {
+                if l < lanes {
+                    let run = &src[(l0 + l) * ld..][..kc];
+                    for (d, &v) in dst.chunks_exact_mut(W).zip(run) {
+                        d[l] = v;
+                    }
+                } else {
+                    for d in dst.chunks_exact_mut(W) {
+                        d[l] = 0.0;
+                    }
                 }
             }
-            for dv in d.iter_mut().skip(rows) {
-                *dv = 0.0;
-            }
-        }
-    }
-}
-
-/// Packs `kc` depth × `nc` cols of `op(B)` into `NR`-col panels,
-/// zero-padding the column remainder.
-#[allow(clippy::too_many_arguments)]
-fn pack_b(
-    trans_b: bool,
-    b: &[f64],
-    k: usize,
-    n: usize,
-    kb: usize,
-    kc: usize,
-    jc: usize,
-    nc: usize,
-    bpack: &mut [f64],
-) {
-    let _ = n;
-    for (panel, jr) in (0..nc).step_by(NR).enumerate() {
-        let cols = (jr + NR).min(nc) - jr;
-        let dst = &mut bpack[panel * KC * NR..];
-        for p in 0..kc {
-            let d = &mut dst[p * NR..p * NR + NR];
-            if trans_b {
-                // op(B)(p, j) = b[(jc + j) * k + kb + p].
-                for (c, dv) in d.iter_mut().enumerate().take(cols) {
-                    *dv = b[(jc + jr + c) * k + kb + p];
-                }
-            } else {
-                let ldb = n;
-                let src = &b[(kb + p) * ldb + jc + jr..];
-                d[..cols].copy_from_slice(&src[..cols]);
-            }
-            for dv in d.iter_mut().skip(cols) {
-                *dv = 0.0;
+        } else {
+            // One contiguous source run per step.
+            for (p, d) in dst.chunks_exact_mut(W).enumerate() {
+                d[..lanes].copy_from_slice(&src[p * ld + l0..][..lanes]);
+                d[lanes..].fill(0.0);
             }
         }
     }
@@ -578,9 +824,15 @@ fn pack_b(
 /// block, accumulating into the caller's row slice of C (`mc` full rows,
 /// leading dimension `ldc`, starting at column `jc`). `jr0` (`NR`-aligned)
 /// skips B panels left of it — the SYRK kernels use this to compute only
-/// the upper-triangle column range of each row block.
+/// the upper-triangle column range of each row block. The `first` k block
+/// writes `0.0 + acc`, which is what accumulating into a zeroed C gives
+/// (a −0.0 sum included), so C needs no clearing beforehand.
+///
+/// # Safety
+/// The CPU must have `mk`'s target features (see [`Micro`]).
 #[allow(clippy::too_many_arguments)]
-fn block_multiply(
+unsafe fn block_multiply<const MR: usize, const NR: usize>(
+    mk: Micro<MR, NR>,
     apack: &[f64],
     bpack: &[f64],
     mc: usize,
@@ -590,6 +842,7 @@ fn block_multiply(
     ldc: usize,
     c: &mut [f64],
     jr0: usize,
+    first: bool,
 ) {
     debug_assert_eq!(jr0 % NR, 0);
     for jr in (jr0..nc).step_by(NR) {
@@ -600,35 +853,29 @@ fn block_multiply(
             let rows = (ir + MR).min(mc) - ir;
             let apanel = &apack[ap * KC * MR..ap * KC * MR + kc * MR];
             let mut acc = [[0.0f64; NR]; MR];
-            microkernel(kc, apanel, bpanel, &mut acc);
+            // SAFETY: `mk`'s CPU features are this function's
+            // precondition; the panels were sliced to exactly kc·MR / kc·NR
+            // elements above.
+            unsafe { mk(kc, apanel, bpanel, &mut acc) };
             for r in 0..rows {
                 let crow = &mut c[(ir + r) * ldc + jc + jr..(ir + r) * ldc + jc + jr + cols];
                 for (cv, av) in crow.iter_mut().zip(acc[r].iter()) {
-                    *cv += av;
+                    *cv = if first { 0.0 } else { *cv } + av;
                 }
             }
         }
     }
 }
 
-/// Register-tiled `MR × NR` rank-`kc` update: AVX2+FMA path when the CPU
-/// has it, portable fixed-size-array path otherwise.
-#[inline]
-fn microkernel(kc: usize, apanel: &[f64], bpanel: &[f64], acc: &mut [[f64; NR]; MR]) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::available() {
-        // SAFETY: AVX2+FMA presence checked above; panel sizes are
-        // guaranteed by the packing layout (kc*MR / kc*NR elements).
-        unsafe { simd::microkernel(kc, apanel, bpanel, acc) };
-        return;
-    }
-    microkernel_generic(kc, apanel, bpanel, acc)
-}
-
-/// Portable microkernel; the fixed-size accumulator array keeps the inner
-/// loop fully unrolled and autovectorized.
-#[inline(always)]
-fn microkernel_generic(kc: usize, apanel: &[f64], bpanel: &[f64], acc: &mut [[f64; NR]; MR]) {
+/// Portable microkernel (see [`Micro`]); the fixed-size accumulator array
+/// keeps the inner loop fully unrolled and autovectorized.
+fn microkernel_generic<const MR: usize, const NR: usize>(
+    kc: usize,
+    apanel: &[f64],
+    bpanel: &[f64],
+    acc: &mut [[f64; NR]; MR],
+) {
+    *acc = [[0.0; NR]; MR];
     for p in 0..kc {
         let av: &[f64; MR] = apanel[p * MR..p * MR + MR].try_into().expect("MR panel");
         let bv: &[f64; NR] = bpanel[p * NR..p * NR + NR].try_into().expect("NR panel");
@@ -642,51 +889,12 @@ fn microkernel_generic(kc: usize, apanel: &[f64], bpanel: &[f64], acc: &mut [[f6
 }
 
 /// Packed-microkernel SYRK: `C = XᵀX` (`nt == false`, `n = d`) or
-/// `C = XXᵀ` (`nt == true`, `n = rows`) over the same panel machinery as
-/// [`gemm`], visiting only the B panels at or right of each row block's
-/// diagonal (≈ half the FLOPs) and mirroring the result. Bit-identical
-/// for any thread count: each row block is owned by one task and k blocks
-/// stay sequential.
-fn syrk_packed(nt: bool, rows: usize, d: usize, x: &[f64], out: &mut [f64]) {
+/// `C = XXᵀ` (`nt == true`, `n = rows`) through [`packed`]'s upper-triangle
+/// mode (≈ half the FLOPs), mirrored.
+fn syrk_packed(kernel: Kernel, nt: bool, rows: usize, d: usize, x: &[f64], out: &mut [f64]) {
     let (n, k) = if nt { (rows, d) } else { (d, rows) };
-    let (ta, tb) = if nt { (false, true) } else { (true, false) };
-    let row_blocks = n.div_ceil(MC);
-    let parallel = pool::is_parallel() && row_blocks > 1 && n * n * k / 2 >= PAR_FLOPS;
-    let shared = SharedSlice::new(out);
-    for jc in (0..n).step_by(NC) {
-        let nc = (jc + NC).min(n) - jc;
-        let n_panels = nc.div_ceil(NR);
-        let mut bpack = vec![0.0; KC * n_panels * NR];
-        for kb in (0..k).step_by(KC) {
-            let kc = (kb + KC).min(k) - kb;
-            pack_b(tb, x, k, n, kb, kc, jc, nc, &mut bpack);
-            let body = |blk: usize| {
-                let i0 = blk * MC;
-                // Upper triangle: this row block only needs columns
-                // j ≥ i0, rounded down to the owning NR panel. (`jc` is a
-                // multiple of NC, itself a multiple of NR, so the local
-                // offset stays panel-aligned.)
-                let j_lo = (i0 / NR) * NR;
-                if j_lo >= jc + nc {
-                    return;
-                }
-                let jr0 = j_lo.saturating_sub(jc);
-                let mc = (i0 + MC).min(n) - i0;
-                let mut apack = vec![0.0; KC * MC];
-                pack_a(ta, x, n, k, i0, mc, kb, kc, &mut apack);
-                // SAFETY: each task owns row range [i0, i0 + mc).
-                let c = unsafe { shared.slice_mut(i0 * n..(i0 + mc) * n) };
-                block_multiply(&apack, &bpack, mc, kc, nc, jc, n, c, jr0);
-            };
-            if parallel {
-                pool::parallel_for(row_blocks, body);
-            } else {
-                for blk in 0..row_blocks {
-                    body(blk);
-                }
-            }
-        }
-    }
+    // SAFETY: `dispatch!` asserted `mk`'s CPU features.
+    dispatch!(kernel, mk => unsafe { packed(mk, !nt, nt, n, k, n, x, x, out, true) });
     mirror_upper(out, n);
 }
 
@@ -699,7 +907,7 @@ pub(crate) fn syrk_tn(rows: usize, d: usize, x: &[f64]) -> Vec<f64> {
         return out;
     }
     if rows * d * d / 2 > SYRK_PACK_FLOPS {
-        syrk_packed(false, rows, d, x, &mut out);
+        syrk_packed(Kernel::detect(), false, rows, d, x, &mut out);
         return out;
     }
     let nb = d.div_ceil(SYRK_BLOCK);
@@ -751,7 +959,7 @@ pub(crate) fn syrk_nt(rows: usize, d: usize, x: &[f64]) -> Vec<f64> {
         return out;
     }
     if n * n * d / 2 > SYRK_PACK_FLOPS {
-        syrk_packed(true, rows, d, x, &mut out);
+        syrk_packed(Kernel::detect(), true, rows, d, x, &mut out);
         return out;
     }
     let nb = n.div_ceil(SYRK_BLOCK);
@@ -873,6 +1081,43 @@ mod tests {
         }
     }
 
+    /// The row-blocked matrix–vector path rounds exactly like the
+    /// `axpy`-per-entry loop it replaces, zero entries included.
+    #[test]
+    fn narrow_gemm_small_keeps_the_axpy_rounding() {
+        for &(m, k) in &[
+            (1usize, 1usize),
+            (7, 5),
+            (8, 33),
+            (9, 64),
+            (17, 256),
+            (256, 256),
+        ] {
+            for n in 1..4 {
+                for ta in [false, true] {
+                    let mut a = seq(m * k, 0.013);
+                    a.iter_mut().step_by(5).for_each(|v| *v = 0.0);
+                    let b = seq(k * n, 0.021);
+                    let mut want = vec![0.0; m * n];
+                    for i in 0..m {
+                        for p in 0..k {
+                            let av = if ta { a[p * m + i] } else { a[i * k + p] };
+                            if av != 0.0 {
+                                for j in 0..n {
+                                    want[i * n + j] += av * b[p * n + j];
+                                }
+                            }
+                        }
+                    }
+                    let mut got = vec![0.0; m * n];
+                    gemm_small(ta, false, m, k, n, &a, &b, &mut got);
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "{m}x{k}x{n} ta={ta}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn syrk_tn_matches_gemm() {
         for &(rows, d) in &[
@@ -944,6 +1189,58 @@ mod tests {
             // An entry's value does not depend on its tile neighbours.
             let dup = dot_tile(k, [x[1]; TILE_R], [y[0]; TILE_C]);
             assert_eq!(dup[3][1].to_bits(), got[1][0].to_bits(), "k={k}");
+        }
+    }
+
+    /// The AVX-512 and AVX2 tiles run the same per-element FMA chain, so the
+    /// packed GEMM and both SYRKs agree bit for bit across every MR/NR/MC/KC
+    /// edge.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_and_avx2_kernels_agree_bit_for_bit() {
+        if !(simd::avx512_available() && simd::available()) {
+            println!("skipped: this CPU lacks avx512f or avx2+fma");
+            return;
+        }
+        const EDGES: [usize; 13] = [1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 255, 256, 257];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Each edge on each axis against a fixed ragged pair, plus the cube.
+        let shapes = EDGES
+            .iter()
+            .flat_map(|&v| [(v, 65, 17), (17, v, 65), (65, 17, v), (v, v, v)]);
+        for (m, k, n) in shapes {
+            let a = seq(m * k, 0.01);
+            let b = seq(k * n, 0.02);
+            for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
+                let run = |kernel| {
+                    let mut c = vec![0.0; m * n];
+                    gemm_packed(kernel, ta, tb, m, k, n, &a, &b, &mut c);
+                    bits(&c)
+                };
+                assert_eq!(
+                    run(Kernel::Avx512),
+                    run(Kernel::Avx2),
+                    "gemm {m}x{k}x{n} ta={ta} tb={tb}"
+                );
+            }
+        }
+        for &rows in &EDGES {
+            for &d in &EDGES {
+                let x = seq(rows * d, 0.01);
+                for nt in [false, true] {
+                    let n = if nt { rows } else { d };
+                    let run = |kernel| {
+                        let mut c = vec![0.0; n * n];
+                        syrk_packed(kernel, nt, rows, d, &x, &mut c);
+                        bits(&c)
+                    };
+                    assert_eq!(
+                        run(Kernel::Avx512),
+                        run(Kernel::Avx2),
+                        "syrk {rows}x{d} nt={nt}"
+                    );
+                }
+            }
         }
     }
 

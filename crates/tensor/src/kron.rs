@@ -81,6 +81,26 @@ pub fn unvec_col_major(v: &[f64], rows: usize, cols: usize) -> Matrix {
 /// assert_eq!(p[(0, 1)], 0.5);
 /// ```
 pub fn precondition_gradient(grad: &Matrix, a_inv: &Matrix, g_inv: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(0, 0);
+    precondition_gradient_into(grad, a_inv, g_inv, &mut Matrix::zeros(0, 0), &mut out);
+    out
+}
+
+/// [`precondition_gradient`] into existing buffers: `scratch` receives
+/// `G⁻¹ · ∇W` and `out` the result, each reshaped in place (see
+/// [`Matrix::matmul_into`]), so a caller that keeps both across iterations
+/// allocates nothing. Same bits as [`precondition_gradient`].
+///
+/// # Panics
+///
+/// Panics on shape mismatch.
+pub fn precondition_gradient_into(
+    grad: &Matrix,
+    a_inv: &Matrix,
+    g_inv: &Matrix,
+    scratch: &mut Matrix,
+    out: &mut Matrix,
+) {
     assert_eq!(
         grad.cols(),
         a_inv.rows(),
@@ -95,7 +115,8 @@ pub fn precondition_gradient(grad: &Matrix, a_inv: &Matrix, g_inv: &Matrix) -> M
         grad.rows(),
         g_inv.rows()
     );
-    g_inv.matmul(grad).matmul(a_inv)
+    g_inv.matmul_into(grad, scratch);
+    scratch.matmul_into(a_inv, out);
 }
 
 #[cfg(test)]

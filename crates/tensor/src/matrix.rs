@@ -24,11 +24,28 @@ use std::ops::{Add, AddAssign, Mul, Sub};
 /// let b = Matrix::identity(2);
 /// assert_eq!(a.matmul(&b), a);
 /// ```
-#[derive(Clone, PartialEq)]
+#[derive(PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Reuses `self`'s allocation when it has the capacity.
+    fn clone_from(&mut self, source: &Self) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl fmt::Debug for Matrix {
@@ -231,6 +248,31 @@ impl Matrix {
             gemm::gemm(false, false, m, k, n, &self.data, &rhs.data)
         };
         Ok(Matrix::from_vec(m, n, data))
+    }
+
+    /// `out = self · rhs`, written into `out`'s existing allocation: `out` is
+    /// reshaped to `self.rows() × rhs.cols()` and allocates only when it
+    /// lacks the capacity. Bit-identical to [`Matrix::matmul`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != rhs.rows()`.
+    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
+        assert_eq!(
+            self.cols, rhs.rows,
+            "matmul_into: shape mismatch {}x{} · {}x{}",
+            self.rows, self.cols, rhs.rows, rhs.cols
+        );
+        let (m, k, n) = (self.rows, self.cols, rhs.cols);
+        out.rows = m;
+        out.cols = n;
+        out.data.resize(m * n, 0.0);
+        if gemm::reference_kernels() {
+            let product = gemm::matmul_reference(m, k, n, &self.data, &rhs.data);
+            out.data.copy_from_slice(&product);
+        } else {
+            gemm::gemm_into(false, false, m, k, n, &self.data, &rhs.data, &mut out.data);
+        }
     }
 
     /// Transpose-free product `self · rhsᵀ`.
@@ -603,6 +645,21 @@ mod tests {
                 fused.max_abs_diff(&explicit) < 1e-12,
                 "matmul_tn mismatch at {m}x{k}x{n}"
             );
+        }
+    }
+
+    /// `matmul_into` reshapes a reused buffer, overwrites what it held and
+    /// matches `matmul` bit for bit on both the unpacked and the packed
+    /// GEMM path.
+    #[test]
+    fn matmul_into_reuses_buffer_and_matches_matmul() {
+        let mut rng = MatrixRng::new(11);
+        let mut out = Matrix::from_fn(80, 80, |i, j| (i * 80 + j) as f64 - 0.5);
+        for (m, k, n) in [(70, 90, 80), (5, 7, 3), (1, 1, 1), (0, 4, 3), (2, 0, 3)] {
+            let a = rng.uniform_matrix(m, k, -1.0, 1.0);
+            let b = rng.uniform_matrix(k, n, -1.0, 1.0);
+            a.matmul_into(&b, &mut out);
+            assert_eq!(out, a.matmul(&b), "{m}x{k}x{n}");
         }
     }
 

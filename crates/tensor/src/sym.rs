@@ -134,10 +134,11 @@ impl SymPacked {
         self.data[idx] = v;
     }
 
-    /// Expands back to a full dense symmetric matrix.
+    /// Expands back to a full dense symmetric matrix (see [`unpack_into`]).
     pub fn to_matrix(&self) -> Matrix {
-        let d = self.dim;
-        Matrix::from_fn(d, d, |i, j| self.get(i, j))
+        let mut m = Matrix::zeros(self.dim, self.dim);
+        unpack_into(&self.data, &mut m);
+        m
     }
 
     /// `self += alpha * other`, element-wise on the packed buffers (what a
@@ -174,6 +175,62 @@ impl SymPacked {
         }
         acc.scale(1.0 / parts.len() as f64);
         acc
+    }
+}
+
+/// Overwrites the square matrix `out` with the symmetric matrix whose packed
+/// upper triangle (the [`SymPacked`] layout) is `packed`.
+///
+/// # Panics
+///
+/// Panics if `out` is not square or `packed` is not `packed_len(d)` long.
+pub fn unpack_into(packed: &[f64], out: &mut Matrix) {
+    zip_packed(packed, out, |o, v| *o = v);
+}
+
+/// `out = decay · out + (1 − decay) · S`, where `S` is the symmetric matrix
+/// packed in `packed`: [`Matrix::ema_update`] against the unpacked `S`, bit
+/// for bit, without materializing it.
+///
+/// # Panics
+///
+/// As [`unpack_into`].
+pub fn ema_update_packed(out: &mut Matrix, decay: f64, packed: &[f64]) {
+    zip_packed(packed, out, |o, v| *o = decay * *o + (1.0 - decay) * v);
+}
+
+/// Calls `f(&mut out[(i, j)], S[(i, j)])` once per element of the square
+/// `out`, where `S` is the symmetric matrix packed in `packed`. The upper
+/// triangle runs row by row against contiguous packed rows; the lower one
+/// in square blocks (the blocking of `gemm::mirror_upper`), so its
+/// column-strided writes stay in cache.
+fn zip_packed(packed: &[f64], out: &mut Matrix, f: impl Fn(&mut f64, f64)) {
+    const B: usize = 16;
+    assert!(out.is_square(), "unpacking into a non-square matrix");
+    let d = out.rows();
+    assert_eq!(
+        packed.len(),
+        packed_len(d),
+        "packed length does not match dim {d}"
+    );
+    // Packed row i holds (i, i..d) and starts after rows 0..i.
+    let row_start = |i: usize| i * d - i * i.saturating_sub(1) / 2;
+    let out = out.as_mut_slice();
+    for i in 0..d {
+        let prow = &packed[row_start(i)..row_start(i) + d - i];
+        for (o, &v) in out[i * d + i..(i + 1) * d].iter_mut().zip(prow) {
+            f(o, v);
+        }
+    }
+    for i0 in (0..d).step_by(B) {
+        for j0 in (i0..d).step_by(B) {
+            for i in i0..(i0 + B).min(d) {
+                let prow = &packed[row_start(i)..];
+                for j in j0.max(i + 1)..(j0 + B).min(d) {
+                    f(&mut out[j * d + i], prow[j - i]);
+                }
+            }
+        }
     }
 }
 
@@ -252,6 +309,28 @@ mod tests {
         b.axpy(2.0, &a);
         b.scale(0.5);
         assert!(b.to_matrix().max_abs_diff(&Matrix::identity(3)) < 1e-15);
+    }
+
+    /// The sliced unpack matches the element-wise definition exactly, over
+    /// block edges, and overwrites whatever the target held.
+    #[test]
+    fn unpack_matches_elementwise_definition() {
+        for d in [0, 1, 2, 7, 64, 257] {
+            let data: Vec<f64> = (0..packed_len(d)).map(|i| i as f64 * 0.5 - 3.0).collect();
+            let p = SymPacked::from_vec(d, data);
+            let want = Matrix::from_fn(d, d, |i, j| p.get(i, j));
+            assert_eq!(p.to_matrix(), want, "d={d}");
+            let mut reused = Matrix::from_fn(d, d, |i, j| (i * 31 + j) as f64);
+            unpack_into(p.as_slice(), &mut reused);
+            assert_eq!(reused, want, "d={d} into");
+
+            let mut ema = Matrix::from_fn(d, d, |i, j| ((i * 7 + j * 3) % 11) as f64 / 3.0);
+            let mut dense = ema.clone();
+            dense.ema_update(0.95, &want);
+            ema_update_packed(&mut ema, 0.95, p.as_slice());
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&ema), bits(&dense), "d={d} ema");
+        }
     }
 
     #[test]
